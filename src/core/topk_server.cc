@@ -208,6 +208,7 @@ void TopKServer::WatchdogLoop() {
         // period later instead of being lost.
         slot->governor->RequestCancel();
         slot->deadline_fired = true;
+        ++slot->watchdog_cancels;
       }
     }
   }
@@ -246,6 +247,11 @@ ServerStats TopKServer::stats() const {
       counters_.expired_at_dequeue.load(std::memory_order_relaxed);
   out.deadline_cancelled =
       counters_.deadline_cancelled.load(std::memory_order_relaxed);
+  // Counted per slot, under the mutex the watchdog already holds to cancel.
+  for (const std::unique_ptr<InflightSlot>& slot : slots_) {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    out.watchdog_cancels += slot->watchdog_cancels;
+  }
   return out;
 }
 

@@ -114,6 +114,7 @@ struct ServerStats {
   uint64_t shed_degraded = 0;      ///< full queue, served inline degraded
   uint64_t expired_at_dequeue = 0; ///< deadline already gone when picked up
   uint64_t deadline_cancelled = 0; ///< cancelled mid-run by the watchdog
+  uint64_t watchdog_cancels = 0;   ///< watchdog RequestCancel deliveries
 };
 
 /// The serving frontend. Thread-safe: any number of threads may Submit
@@ -171,6 +172,7 @@ class TopKServer {
     Clock::time_point deadline_at{};
     bool has_deadline = false;
     bool deadline_fired = false;  // watchdog cancelled this run
+    uint64_t watchdog_cancels = 0;  // RequestCancel deliveries, all runs
   };
 
   void WorkerLoop(size_t worker_index);

@@ -31,6 +31,22 @@ double JitterDraw(uint64_t seed, uint64_t counter) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+const char* MessageName(MessageType type) {
+  switch (type) {
+    case MessageType::kHello:
+      return "hello";
+    case MessageType::kSortedWindow:
+      return "window";
+    case MessageType::kDrain:
+      return "drain";
+    case MessageType::kRandomLookup:
+      return "lookup";
+    case MessageType::kProbe:
+      return "probe";
+  }
+  return "unknown";
+}
+
 double NowMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
@@ -486,8 +502,13 @@ Status Coordinator::Attempt(size_t owner, size_t hedge_owner,
   // of the loss when its timer fires.
   const double primary_ms =
       status.ok() ? primary.latency_ms : options_.rpc_deadline_ms;
-  const double hedge_after = HedgeTimeoutMs(owner);
-  if (!options_.hedging || primary_ms <= hedge_after) {
+  // The hedge timeout is never below hedge_floor_ms, so an attempt that
+  // finishes within the floor cannot hedge and the p99 is not computed for
+  // it — on a healthy network that is nearly every attempt.
+  const bool late = options_.hedging && primary_ms > options_.hedge_floor_ms;
+  const double hedge_after = late ? HedgeTimeoutMs(owner) : 0.0;
+  reply_owner_ = owner;
+  if (!late || primary_ms <= hedge_after) {
     RecordOutcome(owner, status.ok());
     *latency_ms = primary_ms;
     return status;
@@ -515,6 +536,7 @@ Status Coordinator::Attempt(size_t owner, size_t hedge_owner,
         RecordLatency(hedge_owner, hedge.latency_ms);
       }
       std::swap(*reply, hedge_reply_);
+      reply_owner_ = hedge_owner;
       *latency_ms = hedge_ms;
       return Status::OK();
     }
@@ -587,7 +609,10 @@ Status Coordinator::ListRpc(size_t list, const Request& request, Reply* reply) {
     const size_t owner = PickReplica(list);
     last = OwnerRpc(owner, list, request, reply,
                     /*allow_breaker_failover=*/breaker_budget > 0);
-    if (last.ok() || !last.IsUnavailable()) {
+    if (last.ok()) {
+      return CheckReply(list, request, *reply);
+    }
+    if (!last.IsUnavailable()) {
       return last;
     }
     if (owner_alive_[owner]) {
@@ -604,6 +629,65 @@ Status Coordinator::ListRpc(size_t list, const Request& request, Reply* reply) {
                                " lost its whole replica group");
   }
   return last;
+}
+
+Status Coordinator::CheckReply(size_t list, const Request& request,
+                               const Reply& reply) const {
+  const auto malformed = [&](const auto&... detail) {
+    return Status::Invalid("Coordinator: owner ", reply_owner_,
+                           " sent a malformed ", MessageName(request.type),
+                           " reply for list ", list, ": ", detail...);
+  };
+  switch (request.type) {
+    case MessageType::kSortedWindow: {
+      const uint64_t want = std::min<uint64_t>(request.max_entries,
+                                               n_ - (request.start - 1));
+      if (reply.entries.size() != want) {
+        return malformed("entries holds ", reply.entries.size(),
+                         " rows, expected ", want);
+      }
+      break;
+    }
+    case MessageType::kDrain:
+      if (reply.entries.empty() ||
+          reply.entries.size() > request.max_entries) {
+        return malformed("entries holds ", reply.entries.size(),
+                         " rows, expected 1..", request.max_entries);
+      }
+      break;
+    case MessageType::kRandomLookup:
+      if (reply.lookups.size() != request.items.size()) {
+        return malformed("lookups holds ", reply.lookups.size(),
+                         " answers for ", request.items.size(), " items");
+      }
+      for (size_t idx = 0; idx < reply.lookups.size(); ++idx) {
+        const ItemLookup& lookup = reply.lookups[idx];
+        if (lookup.position < 1 || lookup.position > n_) {
+          return malformed("lookups[", idx, "].position = ", lookup.position,
+                           " outside [1, ", n_, "]");
+        }
+        if (!std::isfinite(lookup.score)) {
+          return malformed("lookups[", idx, "].score = ", lookup.score,
+                           " is not finite");
+        }
+      }
+      return Status::OK();
+    case MessageType::kHello:
+    case MessageType::kProbe:
+      return Status::OK();
+  }
+  for (size_t off = 0; off < reply.entries.size(); ++off) {
+    const ListEntry& entry = reply.entries[off];
+    if (entry.item >= n_) {
+      return malformed("entries[", off, "].item = ", entry.item,
+                       " is not below n = ", n_);
+    }
+    if (!std::isfinite(entry.score)) {
+      return malformed("entries[", off, "].score = ", entry.score,
+                       " is not finite");
+    }
+  }
+  return Status::OK();
 }
 
 // --- sorted-access windows ---

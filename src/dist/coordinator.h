@@ -81,6 +81,9 @@ struct DistOptions {
   /// Straggler hedging: when an exchange outlasts the owner's hedge timeout
   /// — hedge_multiplier times the owner's observed p99 latency, never below
   /// hedge_floor_ms — the request is re-issued and the earlier reply wins.
+  /// Because of the floor, the timeout is only evaluated for attempts slower
+  /// than hedge_floor_ms; the p99 is read off the owner's last kLatencyRing
+  /// (64) successful latencies, where it is the second-largest sample.
   bool hedging = true;
   double hedge_floor_ms = 1.0;
   double hedge_multiplier = 3.0;
@@ -222,7 +225,9 @@ class Coordinator {
               CallResult* outcome);
 
   /// One attempt = primary send, hedged when its outcome (reply latency, or
-  /// the full RPC deadline for a loss) outlasts the owner's hedge timeout.
+  /// the full RPC deadline for a loss) outlasts the owner's hedge timeout —
+  /// computed only when the outcome exceeds hedge_floor_ms, the timeout's
+  /// lower bound.
   /// The hedge goes to `hedge_owner` — the primary itself when unreplicated,
   /// the healthiest live sibling replica otherwise. On success `*latency_ms`
   /// is the attempt's effective latency.
@@ -243,6 +248,16 @@ class Coordinator {
   /// death re-routes to the next-healthiest survivor) until one replica
   /// answers or the whole group is dead (Unavailable → the degrade path).
   Status ListRpc(size_t list, const Request& request, Reply* reply);
+
+  /// Checks an owner's reply before the phase loops index with its fields or
+  /// step by its length: a window holds exactly min(max_entries,
+  /// n - start + 1) entries, a drain 1..max_entries, a lookup reply one
+  /// answer per requested item with its position in [1, n]; every item is
+  /// < n and every score finite. A violation is Invalid naming the owner,
+  /// list, message type and field — a protocol bug, not a fault, so the
+  /// phase loops surface it instead of retrying or degrading.
+  Status CheckReply(size_t list, const Request& request,
+                    const Reply& reply) const;
 
   double HedgeTimeoutMs(size_t owner) const;
   void RecordLatency(size_t owner, double latency_ms);
@@ -347,6 +362,7 @@ class Coordinator {
   Reply hedge_reply_;
   Request probe_request_;
   Reply probe_reply_;
+  size_t reply_owner_ = 0;  // owner whose reply the last Attempt kept
   mutable std::vector<double> latency_scratch_;
 };
 

@@ -2,11 +2,14 @@
 
 #include "lists/database_io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -16,6 +19,14 @@ namespace topk {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'O', 'P', 'K', 'D', 'B', '\x01', '\n'};
+
+// Binary layout: the magic, n and m as u64, then m lists of n records, each a
+// 4-byte item id and an 8-byte score.
+constexpr uint64_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(uint64_t);
+constexpr uint64_t kRecordBytes = sizeof(ItemId) + sizeof(Score);
+
+// Records reserved up front per list when the stream cannot tell its length.
+constexpr uint64_t kUnsizedReserve = uint64_t{1} << 16;
 
 Status CannotOpen(const std::string& path, const char* mode) {
   return Status::Invalid("cannot open '", path, "' for ", mode);
@@ -74,8 +85,12 @@ Result<Database> ReadCsv(std::istream& is) {
       return Status::Invalid("CSV header has no list columns");
     }
   }
-  std::vector<std::vector<Score>> rows;  // rows[item][list]
-  std::vector<bool> seen;
+  // Rows are kept in file order and moved into place by item id only once
+  // the row count n is known: ids must be dense 0..n-1, so an id never sizes
+  // an allocation (one "4000000000,..." row must not reserve 4e9 rows).
+  std::vector<std::vector<Score>> file_rows;
+  std::vector<size_t> ids;       // file_rows[r] is item ids[r]'s row,
+  std::vector<size_t> id_lines;  // read from line id_lines[r]
   size_t line_number = 1;
   while (std::getline(is, line)) {
     ++line_number;
@@ -94,40 +109,57 @@ Result<Database> ReadCsv(std::istream& is) {
       return Status::Invalid("line ", line_number, ": bad item id '", cell,
                              "'");
     }
-    if (item >= rows.size()) {
-      rows.resize(item + 1, std::vector<Score>(m, 0.0));
-      seen.resize(item + 1, false);
-    }
-    if (seen[item]) {
-      return Status::Invalid("line ", line_number, ": item ", item,
-                             " appears twice");
-    }
-    seen[item] = true;
+    ids.push_back(item);
+    id_lines.push_back(line_number);
+    std::vector<Score>& scores = file_rows.emplace_back();
+    scores.reserve(m);
     for (size_t j = 0; j < m; ++j) {
       if (!std::getline(row, cell, ',')) {
         return Status::Invalid("line ", line_number, ": expected ", m,
                                " scores");
       }
+      Score score = 0.0;
       try {
-        rows[item][j] = std::stod(cell);
+        score = std::stod(cell);
       } catch (...) {
         return Status::Invalid("line ", line_number, ": bad score '", cell,
                                "'");
       }
+      // std::stod accepts "nan" and "inf"; neither is a score (NaN breaks
+      // the descending sort's strict weak order).
+      if (!std::isfinite(score)) {
+        return Status::Invalid("line ", line_number, ", column ", j + 2,
+                               " (list", j, "): non-finite score '", cell,
+                               "'");
+      }
+      scores.push_back(score);
     }
     if (std::getline(row, cell, ',')) {
       return Status::Invalid("line ", line_number, ": too many columns");
     }
   }
-  if (rows.empty()) {
+  if (file_rows.empty()) {
     return Status::Invalid("CSV has no data rows");
   }
-  for (size_t item = 0; item < seen.size(); ++item) {
-    if (!seen[item]) {
-      return Status::Invalid("item ", item,
-                             " missing (ids must be dense 0..n-1)");
+  const size_t n = file_rows.size();
+  std::vector<std::vector<Score>> rows(n);  // rows[item][list]
+  for (size_t r = 0; r < n; ++r) {
+    const size_t item = ids[r];
+    if (item >= n) {
+      return Status::Invalid("line ", id_lines[r], ": item ", item,
+                             " outside 0..", n - 1, " (ids must be dense "
+                             "0..n-1 over the ", n, " data rows)");
     }
+    if (!rows[item].empty()) {
+      return Status::Invalid("line ", id_lines[r], ": item ", item,
+                             " appears twice");
+    }
+    rows[item] = std::move(file_rows[r]);
   }
+  // Free the file-order scaffolding before the lists are built.
+  std::vector<std::vector<Score>>().swap(file_rows);
+  std::vector<size_t>().swap(ids);
+  std::vector<size_t>().swap(id_lines);
   return Database::FromScoreMatrix(rows);
 }
 
@@ -183,22 +215,51 @@ Result<Database> ReadBinary(std::istream& is) {
   if (n > kMaxReasonable || m > (1ULL << 16)) {
     return Status::Invalid("header out of range (n=", n, ", m=", m, ")");
   }
+  // The header's counts are a claim, not a fact: before anything is sized
+  // from them, the stream must hold the n*m records they promise (at most
+  // 2^48 records here, so the product cannot overflow). A stream that cannot
+  // tell its length (a pipe) is read with a bounded reservation instead.
+  const uint64_t record_bytes = n * m * kRecordBytes;
+  uint64_t available = std::numeric_limits<uint64_t>::max();
+  const std::istream::pos_type records_start = is.tellg();
+  if (records_start != std::istream::pos_type(-1) &&
+      is.seekg(0, std::ios::end)) {
+    available = static_cast<uint64_t>(is.tellg() - records_start);
+    is.seekg(records_start);
+  }
+  is.clear();
+  if (record_bytes > available) {
+    return Status::Invalid("header claims n=", n, ", m=", m, " (",
+                           record_bytes + kHeaderBytes,
+                           " bytes) but the stream holds ",
+                           available + kHeaderBytes, " bytes");
+  }
+  const bool sized = available != std::numeric_limits<uint64_t>::max();
+  const auto reservation = [sized](uint64_t count) {
+    return sized ? count : std::min(count, kUnsizedReserve);
+  };
   std::vector<SortedList> lists;
-  lists.reserve(m);
+  lists.reserve(reservation(m));
   for (uint64_t j = 0; j < m; ++j) {
-    std::vector<ListEntry> entries(n);
+    std::vector<ListEntry> entries;
+    entries.reserve(reservation(n));
     Score prev = std::numeric_limits<Score>::infinity();
     for (uint64_t p = 0; p < n; ++p) {
-      ListEntry& e = entries[p];
+      ListEntry e;
       is.read(reinterpret_cast<char*>(&e.item), sizeof(e.item));
       is.read(reinterpret_cast<char*>(&e.score), sizeof(e.score));
       if (!is) {
         return Status::Invalid("truncated list ", j, " at record ", p);
       }
+      if (!std::isfinite(e.score)) {
+        return Status::Invalid("list ", j, " record ", p,
+                               ": non-finite score ", e.score);
+      }
       if (e.score > prev) {
         return Status::Invalid("list ", j, " not in descending score order");
       }
       prev = e.score;
+      entries.push_back(e);
     }
     TOPK_ASSIGN_OR_RETURN(SortedList list,
                           SortedList::FromEntries(std::move(entries)));

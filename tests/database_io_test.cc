@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include "gen/database_generator.h"
 
@@ -77,6 +82,16 @@ TEST(DatabaseIoTest, CsvRejectsMissingItem) {
   EXPECT_TRUE(ReadCsv(in).status().IsInvalid());
 }
 
+TEST(DatabaseIoTest, CsvRejectsHugeItemIdWithoutAllocating) {
+  // Sizing the rows from the largest id would reserve 4e9 of them.
+  std::stringstream in("item,list0\n0,1.0\n4000000000,0.5\n");
+  const Status status = ReadCsv(in).status();
+  EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+  EXPECT_NE(status.message().find("line 3: item 4000000000 outside 0..1"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(DatabaseIoTest, CsvRejectsRaggedRow) {
   std::stringstream in("item,list0,list1\n0,1.0\n");
   EXPECT_TRUE(ReadCsv(in).status().IsInvalid());
@@ -116,6 +131,104 @@ TEST(DatabaseIoTest, BinaryRejectsTruncated) {
   std::stringstream cut(full.substr(0, full.size() / 2),
                         std::ios::in | std::ios::binary);
   EXPECT_TRUE(ReadBinary(cut).status().IsInvalid());
+}
+
+// A stream that can only be read forward: tellg/seekg fail, as on a pipe.
+class ForwardOnlyBuf : public std::streambuf {
+ public:
+  explicit ForwardOnlyBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+std::string BinaryHeader(uint64_t n, uint64_t m) {
+  std::string bytes("TOPKDB\x01\n", 8);
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  bytes.append(reinterpret_cast<const char*>(&m), sizeof(m));
+  return bytes;
+}
+
+TEST(DatabaseIoTest, BinaryRejectsOversizedHeaderBeforeAllocating) {
+  // n = 2^32 records of 12 bytes each: sizing the list from the claim alone
+  // would allocate ~64 GiB before the first read.
+  std::stringstream claimed(BinaryHeader(uint64_t{1} << 32, 1),
+                            std::ios::in | std::ios::binary);
+  const Status status = ReadBinary(claimed).status();
+  EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+  EXPECT_NE(status.message().find("header claims n=4294967296, m=1"),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("the stream holds 24 bytes"),
+            std::string::npos)
+      << status.message();
+
+  // Unseekable: the length cannot be checked up front, so the reservation
+  // stays bounded and the short stream fails as truncated.
+  std::string bytes = BinaryHeader(uint64_t{1} << 32, 2);
+  for (uint32_t item = 0; item < 3; ++item) {
+    const double score = 1.0 - item * 0.25;
+    bytes.append(reinterpret_cast<const char*>(&item), sizeof(item));
+    bytes.append(reinterpret_cast<const char*>(&score), sizeof(score));
+  }
+  ForwardOnlyBuf pipe(std::move(bytes));
+  std::istream piped(&pipe);
+  const Status truncated = ReadBinary(piped).status();
+  EXPECT_TRUE(truncated.IsInvalid()) << truncated.ToString();
+  EXPECT_NE(truncated.message().find("truncated list 0 at record 3"),
+            std::string::npos)
+      << truncated.message();
+}
+
+TEST(DatabaseIoTest, BinaryRejectsNonFiniteScores) {
+  const Database db = MakeUniformDatabase(20, 2, 14);
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(WriteBinary(db, buffer).ok());
+  const std::string good = buffer.str();
+  struct Case {
+    size_t list;
+    size_t record;
+    double score;
+  };
+  // NaN passes the descending-order check (every comparison is false) and
+  // +inf at the head of a list passes it too.
+  const Case cases[] = {
+      {1, 5, std::numeric_limits<double>::quiet_NaN()},
+      {0, 0, std::numeric_limits<double>::infinity()},
+      {1, 19, -std::numeric_limits<double>::infinity()}};
+  for (const Case& c : cases) {
+    // A 24-byte header, then n = 20 records of 12 bytes (item, score) per
+    // list.
+    std::string bytes = good;
+    const size_t offset =
+        24 + (c.list * 20 + c.record) * 12 + sizeof(ItemId);
+    std::memcpy(&bytes[offset], &c.score, sizeof(c.score));
+    std::stringstream in(bytes, std::ios::in | std::ios::binary);
+    const Status status = ReadBinary(in).status();
+    EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    const std::string where = "list " + std::to_string(c.list) + " record " +
+                              std::to_string(c.record) + ": non-finite score";
+    EXPECT_NE(status.message().find(where), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(DatabaseIoTest, CsvRejectsNonFiniteScores) {
+  std::stringstream nan_cell("item,list0,list1\n0,1.0,nan\n1,0.5,2.0\n");
+  Status status = ReadCsv(nan_cell).status();
+  EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+  EXPECT_NE(status.message().find("line 2, column 3 (list1)"),
+            std::string::npos)
+      << status.message();
+
+  std::stringstream inf_cell("item,list0,list1\n0,1.0,3.0\n1,-inf,2.0\n");
+  status = ReadCsv(inf_cell).status();
+  EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+  EXPECT_NE(status.message().find("line 3, column 2 (list0)"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(DatabaseIoTest, FileRoundTrip) {

@@ -16,7 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algorithms.h"
@@ -810,6 +813,128 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   EXPECT_GT(first.breaker_opens, 0u);
 }
 
+// Every DistStats field, compared exactly (virtual_ms included: the ladder's
+// virtual timeline is a pure function of the seeds).
+void ExpectSameDistStats(const DistStats& got, const DistStats& want) {
+  EXPECT_EQ(got.messages_sent, want.messages_sent);
+  EXPECT_EQ(got.replies_received, want.replies_received);
+  EXPECT_EQ(got.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(got.bytes_received, want.bytes_received);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.hedges, want.hedges);
+  EXPECT_EQ(got.hedge_wins, want.hedge_wins);
+  EXPECT_EQ(got.duplicate_replies, want.duplicate_replies);
+  EXPECT_EQ(got.timeouts, want.timeouts);
+  EXPECT_EQ(got.owner_deaths, want.owner_deaths);
+  EXPECT_EQ(got.replica_failovers, want.replica_failovers);
+  EXPECT_EQ(got.breaker_opens, want.breaker_opens);
+  EXPECT_EQ(got.probes_sent, want.probes_sent);
+  EXPECT_EQ(got.groups_lost, want.groups_lost);
+  EXPECT_EQ(got.virtual_ms, want.virtual_ms);
+}
+
+// The faulted ladder's exact outcome: answers, access counts and every
+// DistStats field of one seeded R = 2 run per engine. SameSeedSameRun and
+// BreakerScheduleIsDeterministic compare two runs of one binary, so they
+// cannot see a change in WHICH attempts hedge, retry or fail over; these
+// values were captured once and must not move when the coordinator's hot
+// path is reworked. The plan makes every rung fire on both engines: retries,
+// hedges and hedge wins, breaker opens, probes and replica failovers.
+TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
+  const Database db = MakeUniformDatabase(1000, 4, 41);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  TransportFaultPlan plan;
+  plan.seed = 5;
+  plan.drop_rate = 0.1;
+  plan.delay_rate = 0.1;
+  plan.delay_ms = 5.0;
+  plan.duplicate_rate = 0.1;
+  // Replica 0 of lists 0 and 2 flaps: down after 6 served messages, back
+  // after rejecting 4 calls, again and again.
+  plan.kill_owners = {InProcessTransport::OwnerIndex(4, 0, 0),
+                      InProcessTransport::OwnerIndex(4, 2, 0)};
+  plan.kill_after_messages = 6;
+  plan.death_min_messages = 6;
+  plan.death_max_messages = 6;
+  plan.flap_revive_calls = 4;
+
+  // Both engines answer exactly (replica 1 never fails, so no group dies).
+  const std::vector<ResultItem> items = {
+      {27, 3.7903209076089874},  {813, 3.5946281858124229},
+      {823, 3.5885327642365485}, {705, 3.5594281435293467},
+      {829, 3.4911626050654689}, {485, 3.4180504016489461},
+      {816, 3.3322909659087423}, {395, 3.3218098653744423},
+      {118, 3.3025115285228037}, {790, 3.2710523499394575}};
+  struct Pinned {
+    bool tput;
+    uint64_t sorted_accesses;
+    uint64_t random_accesses;
+    DistStats stats;
+  };
+  const Pinned pinned[] = {
+      {false, 744, 1719,
+       DistStats{.messages_sent = 890,
+                 .replies_received = 876,
+                 .bytes_sent = 22172,
+                 .bytes_received = 47604,
+                 .rounds = 186,
+                 .retries = 76,
+                 .hedges = 32,
+                 .hedge_wins = 27,
+                 .duplicate_replies = 101,
+                 .timeouts = 83,
+                 .owner_deaths = 0,
+                 .replica_failovers = 5,
+                 .breaker_opens = 8,
+                 .probes_sent = 8,
+                 .groups_lost = 0,
+                 .virtual_ms = 876.61975171860968}},
+      {true, 2978, 0,
+       DistStats{.messages_sent = 229,
+                 .replies_received = 222,
+                 .bytes_sent = 3664,
+                 .bytes_received = 45048,
+                 .rounds = 3,
+                 .retries = 11,
+                 .hedges = 23,
+                 .hedge_wins = 21,
+                 .duplicate_replies = 30,
+                 .timeouts = 14,
+                 .owner_deaths = 0,
+                 .replica_failovers = 2,
+                 .breaker_opens = 4,
+                 .probes_sent = 4,
+                 .groups_lost = 0,
+                 .virtual_ms = 199.08660820123802}},
+  };
+
+  for (const Pinned& want : pinned) {
+    SCOPED_TRACE(want.tput ? "dTPUT" : "dBPA");
+    InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
+    FaultInjectingTransport transport(&inner, plan);
+    DistOptions options;
+    options.replication_factor = 2;
+    options.window_rows = 16;
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result = (want.tput ? coordinator.ExecuteTput(query)
+                                         : coordinator.ExecuteBpa(query))
+                                  .ValueOrDie();
+
+    EXPECT_EQ(result.completion, Completion::kExact);
+    ASSERT_EQ(result.items.size(), items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(result.items[i].item, items[i].item) << "rank " << i;
+      EXPECT_EQ(result.items[i].score, items[i].score) << "rank " << i;
+    }
+    EXPECT_EQ(result.stats.sorted_accesses, want.sorted_accesses);
+    EXPECT_EQ(result.stats.random_accesses, want.random_accesses);
+    ExpectSameDistStats(coordinator.stats(), want.stats);
+  }
+}
+
 TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
   // Correlated failure: both replicas of one list die. No ladder rung can
   // save an extinct group, so the query degrades exactly like PR 8's
@@ -1040,6 +1165,124 @@ TEST(DistCoordinatorTest, RejectsQueriesBeforeConnect) {
   InProcessTransport transport = InProcessTransport::PerListOwners(db);
   Coordinator coordinator(&transport, DistOptions{});
   EXPECT_TRUE(coordinator.ExecuteBpa(TopKQuery{3, &sum}).status().IsInvalid());
+}
+
+// ---- Coordinator: malformed owner replies ----
+
+// Forwards every call to `inner`, then corrupts what one owner answers to one
+// message type: the buggy or hostile owner whose reply fields the
+// coordinator must reject by name instead of indexing with them.
+class CorruptingTransport final : public Transport {
+ public:
+  using Corrupt = std::function<void(const Request&, Reply*)>;
+
+  CorruptingTransport(Transport* inner, size_t owner, MessageType type,
+                      Corrupt corrupt)
+      : inner_(inner), owner_(owner), type_(type),
+        corrupt_(std::move(corrupt)) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    Status status = inner_->Call(owner, request, reply, result);
+    if (status.ok() && owner == owner_ && request.type == type_) {
+      corrupt_(request, reply);
+    }
+    return status;
+  }
+
+ private:
+  Transport* inner_;
+  size_t owner_;
+  MessageType type_;
+  Corrupt corrupt_;
+};
+
+struct CorruptionCase {
+  const char* name;
+  bool tput;
+  MessageType type;
+  CorruptingTransport::Corrupt corrupt;
+  const char* field;  // the reply field the error must name
+};
+
+TEST(DistReplyTest, MalformedRepliesAreRejectedByName) {
+  constexpr size_t kN = 500;
+  const Database db = MakeUniformDatabase(kN, 3, 13);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const CorruptionCase cases[] = {
+      // An empty window: dBPA would read past the buffer, dTPUT's phase-1
+      // cursor would never advance.
+      {"empty window (dBPA)", false, MessageType::kSortedWindow,
+       [](const Request&, Reply* r) { r->entries.clear(); }, "entries"},
+      {"empty window (dTPUT)", true, MessageType::kSortedWindow,
+       [](const Request&, Reply* r) { r->entries.clear(); }, "entries"},
+      {"short window", false, MessageType::kSortedWindow,
+       [](const Request&, Reply* r) { r->entries.pop_back(); }, "entries"},
+      {"long window", false, MessageType::kSortedWindow,
+       [](const Request&, Reply* r) { r->entries.push_back(r->entries[0]); },
+       "entries"},
+      {"window item out of range", false, MessageType::kSortedWindow,
+       [](const Request&, Reply* r) { r->entries[3].item = kN; },
+       "entries[3].item"},
+      {"NaN window score", true, MessageType::kSortedWindow,
+       [nan](const Request&, Reply* r) { r->entries[0].score = nan; },
+       "entries[0].score"},
+      // An empty drain never advances dTPUT's phase-2 depth.
+      {"empty drain", true, MessageType::kDrain,
+       [](const Request&, Reply* r) { r->entries.clear(); }, "entries"},
+      {"oversized drain", true, MessageType::kDrain,
+       [](const Request& q, Reply* r) {
+         r->entries.resize(q.max_entries + 1, r->entries[0]);
+       },
+       "entries"},
+      {"infinite drain score", true, MessageType::kDrain,
+       [inf](const Request&, Reply* r) { r->entries.back().score = -inf; },
+       ".score"},
+      // Lookup answers index dBPA's per-row pending table and its seen
+      // positions.
+      {"short lookup", false, MessageType::kRandomLookup,
+       [](const Request&, Reply* r) { r->lookups.pop_back(); }, "lookups"},
+      {"long lookup", false, MessageType::kRandomLookup,
+       [](const Request&, Reply* r) { r->lookups.push_back(r->lookups[0]); },
+       "lookups"},
+      {"lookup position 0", false, MessageType::kRandomLookup,
+       [](const Request&, Reply* r) { r->lookups[0].position = 0; },
+       "lookups[0].position"},
+      {"lookup position past n", false, MessageType::kRandomLookup,
+       [](const Request&, Reply* r) { r->lookups[0].position = kN + 1; },
+       "lookups[0].position"},
+      {"NaN lookup score", false, MessageType::kRandomLookup,
+       [nan](const Request&, Reply* r) { r->lookups[0].score = nan; },
+       "lookups[0].score"},
+  };
+  const char* type_names[] = {"hello", "window", "drain", "lookup", "probe"};
+  for (const CorruptionCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    InProcessTransport inner = InProcessTransport::PerListOwners(db);
+    CorruptingTransport transport(&inner, /*owner=*/1, c.type, c.corrupt);
+    Coordinator coordinator(&transport, DistOptions{});
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const Result<TopKResult> run = c.tput ? coordinator.ExecuteTput(query)
+                                          : coordinator.ExecuteBpa(query);
+    ASSERT_FALSE(run.ok());
+    const Status& status = run.status();
+    EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    const std::string message = status.message();
+    EXPECT_NE(message.find("owner 1 "), std::string::npos) << message;
+    EXPECT_NE(message.find("list 1"), std::string::npos) << message;
+    EXPECT_NE(message.find(type_names[static_cast<size_t>(c.type)]),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(c.field), std::string::npos) << message;
+    // A protocol bug is not a fault: nothing was retried or degraded.
+    EXPECT_EQ(coordinator.stats().retries, 0u);
+    EXPECT_EQ(coordinator.stats().owner_deaths, 0u);
+  }
 }
 
 TEST(DistCoordinatorTest, RejectsBadK) {

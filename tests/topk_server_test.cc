@@ -61,6 +61,12 @@ class GateScorer final : public Scorer {
     entered_cv_.wait(lock, [&] { return entered_; });
   }
 
+  /// AwaitEntered bounded by `timeout`; true once a worker is parked.
+  bool AwaitEnteredFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return entered_cv_.wait_for(lock, timeout, [&] { return entered_; });
+  }
+
  private:
   mutable std::mutex mu_;
   mutable std::condition_variable open_cv_;
@@ -266,7 +272,10 @@ TEST_F(TopKServerTest, OverdueInFlightRequestIsCancelledWithCertificate) {
 // under TSan this also proves the slot-mutex/atomic discipline of the
 // re-cancel path.
 TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
-  for (int iteration = 0; iteration < 25; ++iteration) {
+  int parked_runs = 0;
+  for (int attempt = 0; parked_runs < 25; ++attempt) {
+    ASSERT_LT(attempt, 250) << "only " << parked_runs
+                            << " runs started before their 1 ms deadline";
     GateScorer gate;
     ServerOptions options;
     options.num_threads = 1;
@@ -278,22 +287,51 @@ TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
     request.query = TopKQuery{3, &gate};
     request.deadline_ms = 1.0;
     auto future = server.Submit(request);
+    // A worker scheduled after the 1 ms deadline has passed answers "expired
+    // while queued" without running the query: correct, but that run never
+    // parks, so it proves nothing here and is not counted.
+    bool entered = false;
+    while (!(entered = gate.AwaitEnteredFor(std::chrono::milliseconds(1))) &&
+           future.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready) {
+    }
+    if (!entered) {
+      EXPECT_TRUE(future.get().status().IsResourceExhausted());
+      EXPECT_EQ(server.stats().expired_at_dequeue, 1u);
+      continue;
+    }
+    ++parked_runs;
     // The worker is parked inside the query's first aggregation; the 1 ms
     // deadline expires while it sits there, so the watchdog fires (and keeps
     // re-firing) across the park. Whether its first cancel raced Arm's clear
-    // or not, the flag must be set by the time the worker resumes.
-    gate.AwaitEntered();
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    // or not, the flag must be set by the time the worker resumes. The gate
+    // opens only after two deliveries counted past the park: the first may
+    // be the tail of a cancel that landed before Arm's clear, but the second
+    // started after it, so it reached the parked, armed run. A fixed sleep
+    // here assumed the watchdog got scheduled inside it.
+    const uint64_t parked = server.stats().watchdog_cancels;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool recancelled = true;
+    while (server.stats().watchdog_cancels < parked + 2) {
+      if (std::chrono::steady_clock::now() >= give_up) {
+        recancelled = false;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     gate.Open();
+    ASSERT_TRUE(recancelled)
+        << "attempt " << attempt
+        << ": the watchdog did not re-cancel the parked run within 10 s";
 
     Result<TopKResult> got = future.get();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     const TopKResult& result = got.ValueUnsafe();
     EXPECT_EQ(result.completion, Completion::kDeadline)
-        << "iteration " << iteration;
-    EXPECT_GE(result.theta, 1.0) << "iteration " << iteration;
-    EXPECT_EQ(server.stats().deadline_cancelled, 1u)
-        << "iteration " << iteration;
+        << "attempt " << attempt;
+    EXPECT_GE(result.theta, 1.0) << "attempt " << attempt;
+    EXPECT_EQ(server.stats().deadline_cancelled, 1u) << "attempt " << attempt;
   }
 }
 

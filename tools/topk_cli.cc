@@ -26,6 +26,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -533,6 +534,11 @@ int Main(int argc, char** argv) {
     } else {
       return Usage();
     }
+  } catch (const std::bad_alloc&) {
+    // An input (a database, or sizes given as flags) asked for more memory
+    // than the process can get; no flag was malformed.
+    std::cerr << "error: out of memory\n";
+    return 1;
   } catch (const std::exception& e) {
     // Numeric flag parsing (std::stoul/stod) throws on malformed input.
     std::cerr << "error: bad flag value (" << e.what() << ")\n";
