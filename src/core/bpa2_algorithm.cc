@@ -212,16 +212,9 @@ Status Bpa2Algorithm::Run(const Database& db, const TopKQuery& query,
                           ExecutionContext* context,
                           TopKResult* result) const {
   context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
-  if (options().audit_accesses) {
-    return DispatchBpa2(options(), db, query, context,
-                        EngineIo(&context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchBpa2(options(), db, query, context,
-                        FaultIo(&context->faults()), result);
-  }
-  return DispatchBpa2(options(), db, query, context,
-                      RawListIo(&db, &context->engine()), result);
+  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchBpa2(options(), db, query, context, io, result);
+  });
 }
 
 }  // namespace topk

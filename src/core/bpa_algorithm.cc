@@ -2,246 +2,15 @@
 
 #include "core/bpa_algorithm.h"
 
-#include <algorithm>
-#include <limits>
-#include <type_traits>
-#include <vector>
-
-#include "core/list_io.h"
-#include "core/topk_buffer.h"
-#include "tracker/bitarray_tracker.h"
+#include "core/bpa_loop.h"
 
 namespace topk {
-namespace {
-
-// The run loop is templated on the access policy, the concrete tracker and
-// the concrete scorer. Tracker and scorer classes are `final`, so for the
-// default configuration (raw list reads, bit-array tracker, summation
-// scoring) every per-access call devirtualizes and inlines down to a handful
-// of loads; the generic instantiations keep virtual dispatch for the other
-// configurations.
-template <typename IoT, typename TrackerT, typename ScorerT>
-Status RunBpaLoop(const AlgorithmOptions& options, const Database& db,
-                  const TopKQuery& query, ExecutionContext* context, IoT io,
-                  TopKResult* result) {
-  const size_t n = db.num_items();
-  const size_t m = db.num_lists();
-  const bool memoize = options.memoize_seen_items;
-  const ScorerT& scorer = static_cast<const ScorerT&>(*query.scorer);
-
-  TopKBuffer& buffer = context->buffer();
-  std::vector<Score>& local = context->local_scores();
-  ScoreMemo* resolved = memoize ? &context->PrepareMemo(n) : nullptr;
-  BitArrayTracker* const bit_trackers = context->bitarray_trackers();
-  const auto tracker = [context, bit_trackers](size_t i) -> TrackerT& {
-    if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
-      return bit_trackers[i];  // contiguous, no pointer chase
-    } else {
-      return static_cast<TrackerT&>(context->tracker(i));
-    }
-  };
-
-  Position depth = 0;
-  bool stopped = false;
-  // The tracker-word prefetch stage only pays once the mirror (and with it
-  // the tracker word arrays) outgrows the fast caches; at cache-resident
-  // sizes the extra positions-row read plus m PrefetchMark calls per
-  // (depth, list) are pure overhead (~10% BPA throughput at n=10k,
-  // measured back-to-back), so it is gated on the mirror exceeding an
-  // L2-sized footprint.
-  const bool prefetch_marks =
-      n * db.item_row_stride_bytes() > (size_t{4} << 20);
-  // λ cache: best positions only ever grow, so the bp sum is an exact
-  // change signature — λ is recomputed only on rows where some bp advanced.
-  uint64_t bp_signature = ~uint64_t{0};
-  Score lambda = std::numeric_limits<Score>::infinity();
-  QueryGovernor& governor = context->governor();
-  Completion reason = Completion::kExact;
-  while (!stopped && depth < n) {
-    ++depth;
-    // Fault injection: a dead list's sorted scan is skipped. λ stays a sound
-    // upper bound on unseen items — the best-position argument is
-    // depth-independent (an item never seen anywhere sits below every bp).
-    [[maybe_unused]] bool row_progress = !IoT::kFaultAware;
-    for (size_t i = 0; i < m; ++i) {
-      if constexpr (IoT::kFaultAware) {
-        if (!io.SortedAlive(i)) {
-          continue;
-        }
-        row_progress = true;
-      }
-      const AccessedEntry entry = io.Sorted(i, depth);
-      // Prefetch pipelining (see ta_algorithm.cc): request the mirror row
-      // (and memo entry) of this list's row kPrefetchRowsAhead iterations
-      // ahead while combining the current, already-prefetched row.
-      if (depth + kPrefetchRowsAhead <= n) {
-        const ItemId ahead = db.list(i).items()[depth - 1 + kPrefetchRowsAhead];
-        PrefetchItemRows(db, ahead, m);
-        if (memoize) {
-          resolved->Prefetch(ahead);
-        }
-      }
-      // Second pipeline stage (bit-array fast path, DRAM-scale databases
-      // only): the mirror row two sorted rows ahead is cached by now, so
-      // its positions are readable at L1 cost — prefetch the tracker words
-      // the marks for that row will hit. Uncounted, decision-free reads:
-      // the access pattern and all counters are unchanged.
-      if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
-        if (prefetch_marks && depth + kPrefetchMarksAhead <= n) {
-          const ItemId near_item =
-              db.list(i).items()[depth - 1 + kPrefetchMarksAhead];
-          const Position* positions = db.ItemPositionsRow(near_item);
-          for (size_t j = 0; j < m; ++j) {
-            bit_trackers[j].PrefetchMark(positions[j]);
-          }
-        }
-      }
-      tracker(i).MarkSeen(entry.position);
-      if (memoize && resolved->Contains(entry.item)) {
-        // Positions of this item were already recorded in every list the
-        // first time it was resolved; only the buffer offer remains.
-        buffer.Offer(entry.item, resolved->Get(entry.item));
-        continue;
-      }
-      if constexpr (IoT::kFaultAware) {
-        // BPA resolves every newly seen item with (m-1) random accesses; a
-        // dead list makes that impossible — fail over to NRA.
-        for (size_t j = 0; j < m; ++j) {
-          if (j != i && !io.RandomAlive(j)) {
-            io.Flush();
-            return Status::Unavailable(
-                "BPA: list ", j,
-                " died permanently; random access is unavailable");
-          }
-        }
-      }
-      Score overall;
-      if constexpr (std::is_same_v<ScorerT, SumScorer>) {
-        // Summation needs no per-list score vector: accumulate in a register
-        // (identical addition order to SumScorer::Combine over local[]).
-        overall = 0.0;
-        for (size_t j = 0; j < m; ++j) {
-          if (j == i) {
-            overall += entry.score;
-            continue;
-          }
-          const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
-          overall += lookup.score;
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          if (j == i) {
-            local[j] = entry.score;
-            continue;
-          }
-          const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
-          local[j] = lookup.score;
-        }
-        overall = scorer.Combine(local.data(), m);
-      }
-      if (memoize) {
-        resolved->Put(entry.item, overall);
-      }
-      buffer.Offer(entry.item, overall);
-    }
-    if constexpr (IoT::kFaultAware) {
-      if (!row_progress) {
-        reason = Completion::kListFailure;
-        break;
-      }
-    }
-    // Best positions overall score λ. Reading si(bpi) is not a charged list
-    // access: the entry at the best position was necessarily seen already.
-    uint64_t signature = 0;
-    for (size_t i = 0; i < m; ++i) {
-      signature += tracker(i).best_position();
-    }
-    if (signature != bp_signature) {
-      bp_signature = signature;
-      for (size_t i = 0; i < m; ++i) {
-        local[i] = db.list(i).ScoreAtPosition(tracker(i).best_position());
-      }
-      lambda = scorer.Combine(local.data(), m);
-    }
-    if (options.collect_trace) {
-      Position min_bp = static_cast<Position>(n);
-      for (size_t i = 0; i < m; ++i) {
-        min_bp = std::min(min_bp, tracker(i).best_position());
-      }
-      result->trace.push_back(StopRuleTrace{
-          depth, lambda,
-          buffer.full() ? buffer.KthScore()
-                        : std::numeric_limits<double>::quiet_NaN(),
-          buffer.size(), min_bp});
-    }
-    // Strictly above λ: a tie could belong to an unseen item with a smaller
-    // id (see TopKBuffer::HasKAbove). At depth == n the loop ends with every
-    // item resolved — the exact deterministic top-k.
-    if (buffer.HasKAbove(lambda)) {
-      stopped = true;
-    }
-    // Governance: one predictable branch per row when nothing is armed.
-    if (!stopped &&
-        (reason = governor.Charge(io.stats(), 0, io.VirtualLatencyMs())) !=
-            Completion::kExact) {
-      break;
-    }
-  }
-  io.Flush();
-
-  buffer.AppendSortedItems(&result->items);
-  result->stop_position = depth;
-  Position min_bp = static_cast<Position>(n);
-  for (size_t i = 0; i < m; ++i) {
-    min_bp = std::min(min_bp, tracker(i).best_position());
-  }
-  result->min_best_position = min_bp;
-  if (reason != Completion::kExact) {
-    // Anytime exit: buffered scores are exact; λ (from the last completed
-    // row) bounds every unseen item, and rejected seen items sit below the
-    // k-th buffered score, which CertifyAnytime folds in.
-    const Score kth = result->items.empty()
-                          ? -std::numeric_limits<Score>::infinity()
-                          : result->items.back().score;
-    CertifyAnytime(reason, kth, lambda, result);
-  }
-  return Status::OK();
-}
-
-template <typename IoT>
-Status DispatchBpa(const AlgorithmOptions& options, const Database& db,
-                   const TopKQuery& query, ExecutionContext* context, IoT io,
-                   TopKResult* result) {
-  const bool sum = dynamic_cast<const SumScorer*>(query.scorer) != nullptr;
-  if (options.tracker == TrackerKind::kBitArray) {
-    return sum ? RunBpaLoop<IoT, BitArrayTracker, SumScorer>(
-                     options, db, query, context, io, result)
-               : RunBpaLoop<IoT, BitArrayTracker, Scorer>(options, db, query,
-                                                          context, io, result);
-  }
-  return sum ? RunBpaLoop<IoT, BestPositionTracker, SumScorer>(
-                   options, db, query, context, io, result)
-             : RunBpaLoop<IoT, BestPositionTracker, Scorer>(
-                   options, db, query, context, io, result);
-}
-
-}  // namespace
 
 Status BpaAlgorithm::Run(const Database& db, const TopKQuery& query,
                          ExecutionContext* context, TopKResult* result) const {
-  context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
-  if (options().audit_accesses) {
-    return DispatchBpa(options(), db, query, context,
-                       EngineIo(&context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchBpa(options(), db, query, context,
-                       FaultIo(&context->faults()), result);
-  }
-  return DispatchBpa(options(), db, query, context,
-                     RawListIo(&db, &context->engine()), result);
+  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchBpa(options(), query, context, io, result);
+  });
 }
 
 }  // namespace topk

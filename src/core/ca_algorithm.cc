@@ -50,13 +50,13 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
     // Sound cursor bounds even for a list dead before its first read (see
-    // nra_algorithm.cc; defensive here — CA is never the failover target).
+    // nra_loop.h; defensive here — CA is never the failover target).
     for (size_t i = 0; i < m; ++i) {
       last_scores[i] = db.list(i).MaxScore();
     }
   }
   std::vector<Score>& tmp = context->bound_scores();
-  const double margin = SummationErrorMargin(db, options.score_floor);
+  const double margin = SummationErrorMargin(io, options.score_floor);
 
   // Fully resolves a candidate with charged random accesses; afterwards its
   // lower bound is its exact overall score. Under fault injection dead lists
@@ -99,7 +99,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
           }
         }
         // Probe-cell prefetch pipelining — uncounted, decision-free; see
-        // nra_algorithm.cc.
+        // nra_loop.h.
         if (d + kPrefetchRowsAhead <= n) {
           pool.PrefetchItem(db.list(i).items()[d - 1 + kPrefetchRowsAhead]);
         }
@@ -158,7 +158,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
     }
     // Strict against unseen items (unknown ids could win the deterministic
     // tie-break); the id-aware blocking check against seen candidates is the
-    // group walk (summation) or the fallback sweep. See nra_algorithm.cc.
+    // group walk (summation) or the fallback sweep. See nra_loop.h.
     bool can_stop = pool.KthLower() > unseen_upper;
     if constexpr (IoT::kFaultAware) {
       // A full scan only certifies when every list was read to the bottom.
@@ -206,30 +206,14 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
     if (winners.empty()) {
       pool.AppendHeapItems(&winners);
     }
-    const bool tighten = reason == Completion::kListFailure;
-    Score kth = std::numeric_limits<Score>::infinity();
-    result->items.reserve(winners.size());
-    for (ItemId item : winners) {
-      const uint32_t slot = pool.FindSlot(item);
-      if (tighten) {
-        resolve(slot);
-      }
-      const Score lower = pool.lower(slot);
-      kth = std::min(kth, lower);
-      result->items.push_back(ResultItem{item, lower});
-    }
-    if (result->items.empty()) {
-      kth = -std::numeric_limits<Score>::infinity();
-    }
-    Score upper = unseen_upper;
-    for (uint32_t slot = 0; slot < pool.size(); ++slot) {
-      if (!pool.InHeap(slot)) {
-        upper = std::max(
-            upper, PoolUpperBound(pool, slot, scorer, last_scores, tmp));
+    if (reason == Completion::kListFailure) {
+      for (ItemId item : winners) {
+        resolve(pool.FindSlot(item));
       }
     }
     io.Flush();
-    CertifyAnytime(reason, kth, upper, result);
+    CertifyPoolAnytime(reason, pool, winners, scorer, last_scores,
+                       unseen_upper, tmp, result);
     result->stop_position = depth;
     return Status::OK();
   }
@@ -274,16 +258,9 @@ Status CaAlgorithm::ValidateFor(const Database& db,
 
 Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
-  if (options().audit_accesses) {
-    return DispatchCa(options(), db, query, context,
-                      EngineIo(&context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchCa(options(), db, query, context,
-                      FaultIo(&context->faults()), result);
-  }
-  return DispatchCa(options(), db, query, context,
-                    RawListIo(&db, &context->engine()), result);
+  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchCa(options(), db, query, context, io, result);
+  });
 }
 
 }  // namespace topk

@@ -49,6 +49,7 @@
 
 #include "common/status.h"
 #include "core/candidate_pool.h"
+#include "core/query_governor.h"
 #include "lists/database.h"
 #include "lists/scorer.h"
 #include "lists/types.h"
@@ -97,12 +98,13 @@ inline double DeriveScoreFloor(const Database& db) {
 /// workload can resolve. Group members whose margined decomposed bound
 /// (lower + per-mask delta) falls below a decision threshold are provably
 /// also below it under the exact interleaved summation, so pruning on the
-/// margined bound never changes a decision.
-inline double SummationErrorMargin(const Database& db, double score_floor) {
+/// margined bound never changes a decision. `io` is the run's access policy
+/// (core/list_io.h), which carries the lists' score range.
+template <typename IoT>
+inline double SummationErrorMargin(const IoT& io, double score_floor) {
   double sum = std::abs(score_floor);
-  for (size_t i = 0; i < db.num_lists(); ++i) {
-    sum += std::max(std::abs(db.list(i).MaxScore()),
-                    std::abs(db.list(i).MinScore())) +
+  for (size_t i = 0; i < io.num_lists(); ++i) {
+    sum += std::max(std::abs(io.MaxScore(i)), std::abs(io.MinScore(i))) +
            std::abs(score_floor);
   }
   return std::ldexp(sum, -38);
@@ -145,6 +147,37 @@ inline Score PoolUpperBound(const CandidatePool& pool, uint32_t slot,
     }
     return scorer.Combine(tmp.data(), m);
   }
+}
+
+/// The pool algorithms' anytime certificate: the heap items in `winners` are
+/// reported with their certified lower bounds, and the unreturned upper bound
+/// folds `unseen_upper` (the bound on never-seen items) with the strongest
+/// non-heap candidate's upper bound.
+template <typename ScorerT>
+void CertifyPoolAnytime(Completion reason, const CandidatePool& pool,
+                        const std::vector<ItemId>& winners,
+                        const ScorerT& scorer,
+                        const std::vector<Score>& last_scores,
+                        Score unseen_upper, std::vector<Score>& tmp,
+                        TopKResult* result) {
+  Score kth = std::numeric_limits<Score>::infinity();
+  result->items.reserve(winners.size());
+  for (ItemId item : winners) {
+    const Score lower = pool.lower(pool.FindSlot(item));
+    kth = std::min(kth, lower);
+    result->items.push_back(ResultItem{item, lower});
+  }
+  if (result->items.empty()) {
+    kth = -std::numeric_limits<Score>::infinity();
+  }
+  Score upper = unseen_upper;
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+    if (!pool.InHeap(slot)) {
+      upper = std::max(upper,
+                       PoolUpperBound(pool, slot, scorer, last_scores, tmp));
+    }
+  }
+  CertifyAnytime(reason, kth, upper, result);
 }
 
 /// The group's shared upper-bound delta under summation: what the current

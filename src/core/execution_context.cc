@@ -19,10 +19,14 @@ void ScoreMemo::Reset(size_t n) {
 
 void ExecutionContext::Prepare(const Database& db, bool audit, size_t k) {
   engine_.Reset(db, audit);
+  Prepare(db.num_lists(), k);
+}
+
+void ExecutionContext::Prepare(size_t m, size_t k) {
   buffer_.Reset(k);
-  local_scores_.assign(db.num_lists(), 0.0);
-  last_scores_.assign(db.num_lists(), 0.0);
-  bound_scores_.assign(db.num_lists(), 0.0);
+  local_scores_.assign(m, 0.0);
+  last_scores_.assign(m, 0.0);
+  bound_scores_.assign(m, 0.0);
 }
 
 void ExecutionContext::PrepareTrackers(TrackerKind kind, size_t n, size_t m) {

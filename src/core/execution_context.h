@@ -79,6 +79,11 @@ class ExecutionContext {
   /// algorithms that need it.
   void Prepare(const Database& db, bool audit, size_t k);
 
+  /// Prepare for a run whose m lists are not in a local Database — the
+  /// distributed coordinator reads them through RemoteIo. Resets the buffer
+  /// and the per-list scratch; engine() stays unbound and unused.
+  void Prepare(size_t m, size_t k);
+
   /// The counted access layer, bound to the database of the last Prepare.
   AccessEngine& engine() { return engine_; }
 

@@ -1,8 +1,10 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// Access policies for the algorithm run loops. Both provide the same three
-// primitives as AccessEngine and are drop-in template parameters for the
-// loops in ta/bpa/bpa2_algorithm.cc:
+// Access policies: the template argument through which every algorithm run
+// loop reads its lists. The BPA, TPUT and NRA loops touch lists only through
+// their policy, so one loop serves every backend (TA, BPA2, CA and FA still
+// take their uncounted metadata and prefetch reads from the Database). Four
+// policies exist:
 //
 //  * EngineIo routes every access through the AccessEngine — per-access
 //    cursors, counters and the optional audit trail. Required whenever the
@@ -15,19 +17,40 @@
 //    read-modify-write traffic through the shared engine object, which the
 //    optimizer cannot keep in registers. Only valid with audit mode off.
 //  * FaultIo routes every access through the FaultInjectingAccessEngine
-//    decorator and is the only policy whose lists can die: it reports
-//    kFaultAware = true, so the loops' aliveness guards compile in. On the
-//    other two policies those guards are `if constexpr`-eliminated —
-//    fault-free instantiations keep byte-identical behaviour and codegen
-//    shape.
+//    decorator, whose lists can die: it reports kFaultAware = true, so the
+//    loops' aliveness guards compile in. On the two policies above those
+//    guards are `if constexpr`-eliminated — fault-free instantiations keep
+//    byte-identical behaviour and codegen shape.
+//  * RemoteIo (dist/remote_io.h) reads from remote list owners through the
+//    distributed coordinator's RPC failover ladder. It is fault-aware too: a
+//    list dies with its whole replica group.
 //
-// Shared contract: stats() exposes the run's access counts so far (for the
-// governor's budget checks) and VirtualLatencyMs() the injected latency to
-// charge against its deadline (0 except under FaultIo).
+// Shared contract:
+//  * counted reads: Sorted, Random (and Direct, local policies only);
+//  * shape and catalog: num_items(), num_lists(), MaxScore(i), MinScore(i);
+//  * uncounted reads — metadata and decision-free peeks that are not list
+//    accesses in the paper's model: ScoreAt (a position already seen, BPA's
+//    λ), ExactScore (NRA's winner report), PeekItem/PrefetchRow/
+//    MirrorBytes/PositionsRow (prefetch hints);
+//  * fault-aware guards, called only under `if constexpr (kFaultAware)`:
+//    SortedAlive/RandomAlive/DeadLists, plus FetchSorted and DrainTo, which
+//    say which row a scan reads next (FetchSorted: a plain scan that reads
+//    on to at most row `last`; DrainTo: TPUT's phase-2 scan down to
+//    `threshold`) so RemoteIo can fetch the window holding it;
+//  * batch hooks, empty on the local policies: BeginRound marks a round of
+//    the loop, and BatchRandom(enumerate) announces the random reads a loop
+//    is about to issue — enumerate(add) calls add(list, item) once per
+//    upcoming Random(list, item), in call order — so RemoteIo can send one
+//    lookup message per list;
+//  * stats() exposes the run's access counts so far (for the governor's
+//    budget checks) and VirtualLatencyMs() the latency to charge against its
+//    deadline (injected or RPC time; 0 on the fault-free local policies).
 
 #ifndef TOPK_CORE_LIST_IO_H_
 #define TOPK_CORE_LIST_IO_H_
 
+#include "common/status.h"
+#include "core/execution_context.h"
 #include "lists/access_engine.h"
 #include "lists/database.h"
 #include "lists/fault_injection.h"
@@ -82,12 +105,60 @@ inline void PrefetchSortedEntry(const SortedList& list, Position position) {
   __builtin_prefetch(&list.scores()[position - 1]);
 }
 
-/// Faithful policy: every access goes through the counted engine.
-class EngineIo {
+/// The local policies' shared half: their lists live in a Database, so the
+/// shape, the catalog and every uncounted read are plain loads, and the batch
+/// hooks have nothing to batch. The fault-aware guards report lists that
+/// never die; FaultIo hides them with its own.
+class LocalIo {
  public:
   static constexpr bool kFaultAware = false;
 
-  explicit EngineIo(AccessEngine* engine) : engine_(engine) {}
+  explicit LocalIo(const Database* db) : db_(db), m_(db->num_lists()) {}
+
+  size_t num_items() const { return db_->num_items(); }
+  size_t num_lists() const { return m_; }
+  Score MaxScore(size_t list) const { return db_->list(list).MaxScore(); }
+  Score MinScore(size_t list) const { return db_->list(list).MinScore(); }
+
+  Score ScoreAt(size_t list, Position position) const {
+    return db_->list(list).ScoreAtPosition(position);
+  }
+  Score ExactScore(size_t list, ItemId item) const {
+    return db_->list(list).ScoreOf(item);
+  }
+  ItemId PeekItem(size_t list, Position position) const {
+    return db_->list(list).items()[position - 1];
+  }
+  void PrefetchRow(ItemId item) const { PrefetchItemRows(*db_, item, m_); }
+  size_t MirrorBytes() const {
+    return db_->num_items() * db_->item_row_stride_bytes();
+  }
+  const Position* PositionsRow(ItemId item) const {
+    return db_->ItemPositionsRow(item);
+  }
+
+  static constexpr bool SortedAlive(size_t) { return true; }
+  static constexpr bool FetchSorted(size_t, Position, Position) { return true; }
+  static constexpr bool DrainTo(size_t, Position, Score) { return true; }
+  static constexpr bool RandomAlive(size_t) { return true; }
+  static constexpr uint32_t DeadLists() { return 0; }
+  static constexpr double VirtualLatencyMs() { return 0.0; }
+
+  void BeginRound() {}
+  template <typename Enumerate>
+  void BatchRandom(const Enumerate& /*enumerate*/) {}
+  void Flush() {}
+
+ protected:
+  const Database* db_;
+  size_t m_;  // the row prefetch sizes itself by m on every call
+};
+
+/// Faithful policy: every access goes through the counted engine.
+class EngineIo : public LocalIo {
+ public:
+  explicit EngineIo(AccessEngine* engine)
+      : LocalIo(&engine->database()), engine_(engine) {}
 
   AccessedEntry Sorted(size_t list_index, Position /*position*/) {
     return engine_->SortedAccess(list_index);
@@ -98,13 +169,8 @@ class EngineIo {
   AccessedEntry Direct(size_t list_index, Position position) {
     return engine_->DirectAccess(list_index, position);
   }
-  void Flush() {}
 
   const AccessStats& stats() const { return engine_->stats(); }
-  static constexpr bool SortedAlive(size_t) { return true; }
-  static constexpr bool RandomAlive(size_t) { return true; }
-  static constexpr uint32_t DeadLists() { return 0; }
-  static constexpr double VirtualLatencyMs() { return 0.0; }
 
  private:
   AccessEngine* engine_;
@@ -113,12 +179,10 @@ class EngineIo {
 /// Fast policy: direct list reads, registers-only counting, one flush.
 /// The caller passes the sorted position explicitly (the loops know their
 /// depth), so no cursor state is maintained; the engine's cursors stay at 0.
-class RawListIo {
+class RawListIo : public LocalIo {
  public:
-  static constexpr bool kFaultAware = false;
-
   RawListIo(const Database* db, AccessEngine* engine)
-      : db_(db), engine_(engine) {}
+      : LocalIo(db), engine_(engine) {}
 
   AccessedEntry Sorted(size_t list_index, Position position) {
     ++stats_.sorted_accesses;
@@ -140,13 +204,8 @@ class RawListIo {
   void Flush() { engine_->AddStats(stats_); }
 
   const AccessStats& stats() const { return stats_; }
-  static constexpr bool SortedAlive(size_t) { return true; }
-  static constexpr bool RandomAlive(size_t) { return true; }
-  static constexpr uint32_t DeadLists() { return 0; }
-  static constexpr double VirtualLatencyMs() { return 0.0; }
 
  private:
-  const Database* db_;
   AccessEngine* engine_;
   AccessStats stats_;
 };
@@ -155,11 +214,12 @@ class RawListIo {
 /// from there through the counted engine, so counts and cursors stay
 /// faithful). The loops must check SortedAlive/RandomAlive before every
 /// access — see the death contract in lists/fault_injection.h.
-class FaultIo {
+class FaultIo : public LocalIo {
  public:
   static constexpr bool kFaultAware = true;
 
-  explicit FaultIo(FaultInjectingAccessEngine* faults) : faults_(faults) {}
+  explicit FaultIo(FaultInjectingAccessEngine* faults)
+      : LocalIo(&faults->inner()->database()), faults_(faults) {}
 
   AccessedEntry Sorted(size_t list_index, Position /*position*/) {
     return faults_->SortedAccess(list_index);
@@ -170,11 +230,16 @@ class FaultIo {
   AccessedEntry Direct(size_t list_index, Position position) {
     return faults_->DirectAccess(list_index, position);
   }
-  void Flush() {}
 
   const AccessStats& stats() const { return faults_->stats(); }
   bool SortedAlive(size_t list_index) const {
     return faults_->ListAlive(list_index);
+  }
+  bool FetchSorted(size_t list_index, Position, Position) const {
+    return SortedAlive(list_index);
+  }
+  bool DrainTo(size_t list_index, Position, Score) const {
+    return SortedAlive(list_index);
   }
   bool RandomAlive(size_t list_index) const {
     return faults_->ListAlive(list_index);
@@ -185,6 +250,21 @@ class FaultIo {
  private:
   FaultInjectingAccessEngine* faults_;
 };
+
+/// Runs `loop(io)` over the local policy a prepared context calls for:
+/// EngineIo when auditing, FaultIo when faults are armed, RawListIo
+/// otherwise.
+template <typename Loop>
+Status RunOnLocalIo(const Database& db, bool audit, ExecutionContext* context,
+                    const Loop& loop) {
+  if (audit) {
+    return loop(EngineIo(&context->engine()));
+  }
+  if (context->faults().armed()) {
+    return loop(FaultIo(&context->faults()));
+  }
+  return loop(RawListIo(&db, &context->engine()));
+}
 
 }  // namespace topk
 

@@ -13,6 +13,9 @@
 // may still be open when it stops. For reporting and test comparability the
 // implementation resolves the winners' exact scores with uncounted reads —
 // the access metrics stay faithful to the NRA model (zero random accesses).
+// A run that ends with a dead list (fault injection, or the distributed
+// coordinator's degraded path) cannot read the dead cells: it reports
+// Completion::kListFailure with the winners' certified lower bounds instead.
 
 #ifndef TOPK_CORE_NRA_ALGORITHM_H_
 #define TOPK_CORE_NRA_ALGORITHM_H_

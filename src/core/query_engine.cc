@@ -36,8 +36,6 @@ BatchResult QueryEngine::ExecuteBatch(AlgorithmKind kind,
   batch.results.assign(queries.size(),
                        Result<TopKResult>(Status::Internal("not executed")));
   if (queries.empty()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_batch_stats_ = AccessStats{};
     return batch;
   }
 
@@ -87,10 +85,6 @@ BatchResult QueryEngine::ExecuteBatch(AlgorithmKind kind,
     }
   }
   batch.stats = total;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_batch_stats_ = total;
-  }
   return batch;
 }
 

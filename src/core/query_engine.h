@@ -54,16 +54,6 @@ class QueryEngine {
                            const std::vector<TopKQuery>& queries,
                            size_t num_threads = 0) const;
 
-  /// Aggregate access statistics of the most recently *finished* ExecuteBatch
-  /// call. Deprecated: with concurrent issuers "last" is whichever batch
-  /// finished last — prefer BatchResult::stats, which is race-free by
-  /// construction. Kept (mutex-protected, returned by value) for the benches
-  /// and older callers.
-  AccessStats last_batch_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return last_batch_stats_;
-  }
-
   const Database& database() const { return *db_; }
 
  private:
@@ -76,8 +66,6 @@ class QueryEngine {
 
   const Database* db_;
   AlgorithmOptions options_;
-  mutable std::mutex stats_mu_;
-  mutable AccessStats last_batch_stats_;
   /// Per-worker-slot contexts, created on first use and kept warm across
   /// batches. Thread-safe growth; in-flight batches lease disjoint slots.
   mutable ContextPool contexts_;

@@ -6,7 +6,7 @@
 // One governor lives in every ExecutionContext. ExecuteInto arms it from
 // AlgorithmOptions::governor before each run; the algorithm loops call
 // Charge() at their existing round boundaries (TA/BPA row loops, BPA2
-// rounds, the NRA kCheckInterval batches, CA resolve batches, TPUT phase
+// rounds, the NRA kNraCheckInterval batches, CA resolve batches, TPUT phase
 // edges). When no limits are armed and no cancellation is pending, Charge()
 // is one relaxed atomic load plus one branch — the hot path pays a single
 // predictable test per round and the governor allocates nothing, ever.

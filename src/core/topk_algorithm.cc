@@ -110,14 +110,20 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     result->fault_retries = faults.transient_faults;
   }
 
+  return FinishResult(name().c_str(), query.k, options_.governor.strict,
+                      result);
+}
+
+Status FinishResult(const char* engine, size_t k, bool strict,
+                    TopKResult* result) {
   if (result->completion == Completion::kExact) {
-    if (result->items.size() != query.k) {
-      return Status::Internal(name(), " produced ", result->items.size(),
-                              " items for k = ", query.k);
+    if (result->items.size() != k) {
+      return Status::Internal(engine, " produced ", result->items.size(),
+                              " items for k = ", k);
     }
-  } else if (result->items.size() > query.k) {
-    return Status::Internal(name(), " produced ", result->items.size(),
-                            " items for k = ", query.k,
+  } else if (result->items.size() > k) {
+    return Status::Internal(engine, " produced ", result->items.size(),
+                            " items for k = ", k,
                             " (anytime results must not exceed k)");
   }
   std::sort(result->items.begin(), result->items.end(),
@@ -134,21 +140,21 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     result->kth_lower_bound = kth;
     result->unreturned_upper_bound = kth;
     result->theta = 1.0;
-  } else if (options_.governor.strict) {
+  } else if (strict) {
     // StrictMode: the caller wants exact answers only — surface the
     // degradation as an error instead of an anytime result.
     if (result->completion == Completion::kListFailure) {
       return Status::Unavailable(
-          name(), ": ", result->dead_lists,
+          engine, ": ", result->dead_lists,
           " list(s) died permanently; StrictMode rejects the degraded ",
-          "anytime answer (", result->items.size(), " of ", query.k,
+          "anytime answer (", result->items.size(), " of ", k,
           " items, theta = ", result->theta, ")");
     }
     return Status::ResourceExhausted(
-        name(), ": stopped by ", ToString(result->completion), " after ",
+        engine, ": stopped by ", ToString(result->completion), " after ",
         result->stats.TotalAccesses(),
         " accesses; StrictMode rejects the anytime answer (",
-        result->items.size(), " of ", query.k,
+        result->items.size(), " of ", k,
         " items, theta = ", result->theta, ")");
   }
   return Status::OK();

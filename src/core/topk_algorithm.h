@@ -58,7 +58,7 @@ struct AlgorithmOptions {
   /// at O(live candidates) instead of O(every item seen). Behaviorally a
   /// no-op — results, stop positions and access counts are unchanged (a
   /// re-seen erased candidate re-enters with strictly less knowledge and a
-  /// provably sub-threshold bound, see nra_algorithm.cc) — so the default is
+  /// provably sub-threshold bound, see nra_loop.h) — so the default is
   /// on; the off switch exists for the differential tests that certify the
   /// no-op and for memory-vs-walk-cost ablations. CA always erases (its
   /// victim selection observably depends on the erased set); TPUT's single
@@ -71,7 +71,7 @@ struct AlgorithmOptions {
   /// resets the watermark to 1.25x the surviving live size, an unproductive
   /// one backs it off 2x (4x from the second unproductive pass in a row), so
   /// total compaction work stays O(pool growth) — see the schedule comment
-  /// in nra_algorithm.cc. Tests set 1 to compact at every stop check.
+  /// in nra_loop.h. Tests set 1 to compact at every stop check.
   size_t nra_compaction_floor = 4096;
 
   /// Per-query governance limits (deadline, access budgets, pool byte
@@ -150,6 +150,16 @@ class TopKAlgorithm {
  private:
   AlgorithmOptions options_;
 };
+
+/// The result contract every engine meets before it returns an answer —
+/// TopKAlgorithm::ExecuteInto and the distributed Coordinator alike: an exact
+/// answer holds exactly k items and an anytime one at most k (else
+/// Internal); items are sorted by (score desc, item id asc); an exact
+/// answer's certificate collapses onto its k-th score with theta = 1; and
+/// under StrictMode an anytime answer becomes Unavailable (list failure) or
+/// ResourceExhausted (governor trip). `engine` names the engine in messages.
+Status FinishResult(const char* engine, size_t k, bool strict,
+                    TopKResult* result);
 
 /// Every algorithm shipped with the library.
 enum class AlgorithmKind {

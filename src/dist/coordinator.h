@@ -1,11 +1,13 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // Coordinator: the paper's query node in the distributed setting. It runs the
-// BPA and TPUT phase structures over a pluggable message Transport to
-// ListOwner shards, batching sorted accesses into windows and random accesses
-// into per-list lookup vectors so the wire carries few large messages instead
-// of the single-node loops' many small accesses — the metric the distributed
-// top-k literature optimizes (messages and bytes per query).
+// core BPA and TPUT loops (and NRA, when a list is lost) over a pluggable
+// message Transport to ListOwner shards, reading through the RemoteIo access
+// policy (dist/remote_io.h), which batches sorted accesses into windows and
+// random accesses into per-list lookup vectors so the wire carries few large
+// messages instead of the loops' many small accesses — the metric the
+// distributed top-k literature optimizes (messages and bytes per query). The
+// coordinator itself keeps only the RPC, health and replica machinery.
 //
 // Robustness is the contract, not an afterthought:
 //
@@ -28,16 +30,16 @@
 //    switch is invisible to the algorithm: items, scores, stop positions
 //    and access counts stay byte-identical to the unreplicated run;
 //  * only when a WHOLE replica group is dead does a list die: it maps onto
-//    PR 6's dead-list semantics and the coordinator degrades to NRA over
-//    the surviving lists, returning a θ-certified anytime answer tagged
-//    Completion::kListFailure — a dying cluster still answers inside the
-//    SLA.
+//    the core loops' dead-list semantics and the coordinator re-runs the
+//    core NRA loop over the surviving lists, returning a θ-certified anytime
+//    answer tagged Completion::kListFailure — a dying cluster still answers
+//    inside the SLA.
 //
-// Determinism: fault-free distributed BPA/TPUT return byte-identical
-// items/scores to the single-node engine (same tie order, same survivor
-// sets — the batched windows and lookup vectors replay the single-node
-// loops' arithmetic exactly), and a faulted run replays message-for-message
-// from the transport fault plan's seed plus DistOptions::backoff_seed.
+// Determinism: distributed BPA/TPUT run the single-node loops themselves, so
+// their answers, certificates, access counts and governor behaviour are the
+// single-node engine's (dBPA's are memoized BPA's: it resolves each item
+// once), and a faulted run replays message-for-message from the transport
+// fault plan's seed plus DistOptions::backoff_seed.
 
 #ifndef TOPK_DIST_COORDINATOR_H_
 #define TOPK_DIST_COORDINATOR_H_
@@ -48,9 +50,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/candidate_pool.h"
+#include "core/execution_context.h"
 #include "core/query_governor.h"
-#include "core/topk_buffer.h"
+#include "core/topk_algorithm.h"
 #include "core/topk_result.h"
 #include "dist/transport.h"
 #include "lists/access_stats.h"
@@ -112,10 +114,9 @@ struct DistOptions {
   /// Seed of the health tracker's jittered breaker windows.
   uint64_t health_seed = 1;
 
-  /// Per-query execution limits, enforced at the coordinator's round
-  /// boundaries exactly like the single-node loops enforce them. RPC
-  /// latencies, backoff waits and timeout waits all charge the deadline as
-  /// virtual milliseconds.
+  /// Per-query execution limits, enforced by the core loops on their
+  /// single-node cadence (StrictMode included). RPC latencies, backoff waits
+  /// and timeout waits all charge the deadline as virtual milliseconds.
   GovernorLimits governor;
 
   /// Validates the options for `algorithm` over a transport with
@@ -130,7 +131,7 @@ struct DistStats {
   uint64_t replies_received = 0;  ///< incl. duplicate deliveries
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;  ///< incl. duplicate deliveries
-  uint64_t rounds = 0;          ///< coordinator round-trips of the phase loops
+  uint64_t rounds = 0;          ///< loop rounds: BPA rows, TPUT phases, NRA
   uint64_t retries = 0;         ///< re-attempts after a lost/failed exchange
   uint64_t hedges = 0;          ///< hedge requests issued
   uint64_t hedge_wins = 0;      ///< hedges whose reply beat the primary's
@@ -166,17 +167,16 @@ class Coordinator {
   /// the owners' catalogs: 0 lowered to the smallest advertised min score).
   Score score_floor() const { return floor_; }
 
-  /// Distributed BPA: per-depth rows over batched sorted windows, row-end
-  /// batched random-access resolution, the paper's λ (best-position) stop
-  /// rule. Any scorer. Fault-free results are byte-identical to single-node
-  /// BPA; owner death degrades to NRA over the survivors.
+  /// Distributed BPA: the core memoized BPA loop — per-depth rows over
+  /// batched sorted windows, one lookup message per list and row, the
+  /// paper's λ (best-position) stop rule. Any scorer. The loss of a whole
+  /// replica group degrades to NRA over the survivors.
   Result<TopKResult> ExecuteBpa(const TopKQuery& query);
 
-  /// Distributed TPUT: the three-phase protocol (top-k prefixes; drain to
-  /// τ1/m via kDrain messages whose threshold stop runs owner-side; batched
-  /// random-access resolution of the τ2 survivors). Summation scoring only.
-  /// Fault-free results are byte-identical to single-node TPUT; owner death
-  /// degrades to NRA over the survivors.
+  /// Distributed TPUT: the core TPUT loop — top-k prefixes; drain to τ1/m
+  /// via kDrain messages whose threshold stop runs owner-side; one lookup
+  /// message per list for the τ2 survivors. Summation scoring only. The loss
+  /// of a whole replica group degrades to NRA over the survivors.
   Result<TopKResult> ExecuteTput(const TopKQuery& query);
 
   /// Wire/robustness counters of the last Execute call.
@@ -184,19 +184,10 @@ class Coordinator {
 
   /// True while at least one replica of `list_index`'s group has not been
   /// declared dead — a list only dies with its whole replica group.
-  bool ListAlive(size_t list_index) const {
-    for (size_t owner : replicas_of_[list_index]) {
-      if (owner_alive_[owner] != 0) return true;
-    }
-    return false;
-  }
+  bool ListAlive(size_t list_index) const { return !group_lost_[list_index]; }
 
  private:
-  struct PendingItem {
-    ItemId item;
-    uint32_t first_list;
-    Score first_score;
-  };
+  friend class RemoteIo;
 
   /// Per-replica health, reset per query: a consecutive-failure circuit
   /// breaker (closed → open after breaker_failures straight failures; open →
@@ -214,9 +205,14 @@ class Coordinator {
 
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
-  Status ValidateQuery(const char* algorithm, const TopKQuery& query) const;
-  void BeginQuery();
-  void FinishQuery(TopKResult* result) const;
+  void BeginQuery(size_t k);
+
+  /// Validates the options and the query (messages name `algorithm`), runs
+  /// the core BPA or TPUT loop over RemoteIo and, when a replica group is
+  /// lost, the core NRA loop over the same RemoteIo; then applies the shared
+  /// result contract (FinishResult).
+  Result<TopKResult> Execute(const char* algorithm, const TopKQuery& query,
+                             bool tput);
 
   // --- RPC machinery (retry / backoff / hedging / death) ---
 
@@ -286,21 +282,18 @@ class Coordinator {
   void RecordOutcome(size_t owner, bool success);
   double HealthJitter();
 
-  // --- sorted-access windows (one cursor per list, coordinator-side) ---
+  // --- RemoteIo's reads (see dist/remote_io.h) ---
 
-  /// The entry at 1-based `position` of `list_index`, served from the list's
-  /// window buffer (one kSortedWindow RPC per window_rows positions).
-  Status WindowEntry(size_t list_index, Position position, ListEntry* entry);
+  /// Refills `list`'s window buffer from row `position` (not buffered) with
+  /// one `type` message (kSortedWindow or kDrain with `threshold`) of
+  /// min(window_rows, last - position + 1) rows. False when the list is dead
+  /// or the reply was malformed (error_).
+  bool FetchRows(size_t list, Position position, Position last,
+                 MessageType type, Score threshold);
 
-  // --- shared degraded path ---
-
-  /// NRA over the surviving lists, from scratch (the same re-run discipline
-  /// as the single-node engine's failover): dead lists are bounded at their
-  /// advertised max score, survivors re-scan from position 1, and the answer
-  /// is certified anytime with Completion::kListFailure (or the governor's
-  /// trip reason, which takes precedence). Always returns OK with a
-  /// certified result.
-  Status DegradeToNra(const TopKQuery& query, TopKResult* result);
+  /// Sends one kRandomLookup per live list with a non-empty batch_items_
+  /// entry and keeps the replies for RemoteIo::Random.
+  void SendLookups();
 
   Transport* transport_;
   DistOptions options_;
@@ -317,16 +310,16 @@ class Coordinator {
 
   // Per-query state (reset by BeginQuery; storage retained).
   DistStats stats_;
-  AccessStats access_;  // synthesized logical access counts (parity metric)
-  QueryGovernor governor_;
-  TopKBuffer buffer_;
-  CandidatePool pool_;
+  AccessStats access_;  // logical access counts, counted by RemoteIo
+  ExecutionContext context_;     // the core loops' scratch and governor
+  AlgorithmOptions core_options_;  // memoized BPA, the catalog's floor
+  Status error_;  // first malformed reply of the query (a protocol bug)
   uint64_t backoff_counter_ = 0;
 
   // Replica health (reset by BeginQuery).
   std::vector<ReplicaHealth> health_;        // per owner
   std::vector<size_t> primary_of_;           // list -> sticky routed replica
-  std::vector<uint8_t> group_lost_counted_;  // list -> groups_lost tallied
+  std::vector<uint8_t> group_lost_;  // list -> whole replica group dead
   uint64_t health_counter_ = 0;              // jitter draw counter
 
   // Per-owner latency rings feeding the p99 hedge timeout.
@@ -334,29 +327,15 @@ class Coordinator {
   std::vector<double> latency_ring_;  // owner-major, kLatencyRing samples
   std::vector<uint32_t> latency_count_;
 
-  // Window buffers: one per list.
-  std::vector<Position> window_base_;          // first buffered position; 0 = empty
+  // RemoteIo's buffers, per list (reset by BeginQuery; storage retained).
+  std::vector<Position> window_base_;  // first buffered position
+  std::vector<Position> window_end_;   // one past the last; 0 = empty
   std::vector<std::vector<ListEntry>> window_;
+  std::vector<std::vector<ItemId>> batch_items_;  // announced random reads
+  std::vector<std::vector<ItemLookup>> lookups_;  // their replies
+  std::vector<size_t> lookup_cursor_;             // next reply Random serves
+  std::vector<std::vector<Score>> lookup_scores_;  // position -> score
 
-  // BPA row state.
-  std::vector<std::vector<uint8_t>> pos_seen_;  // list -> 1-based seen flags
-  std::vector<std::vector<Score>> pos_score_;   // list -> score at seen pos
-  std::vector<Position> best_pos_;
-  std::vector<uint8_t> memo_state_;  // item: 0 unknown / 1 pending / 2 resolved
-  std::vector<Score> memo_score_;
-  std::vector<PendingItem> pending_;
-  std::vector<Score> pending_rows_;             // pending-major, m scores each
-  std::vector<std::vector<ItemId>> batch_items_;  // per-list lookup batches
-  std::vector<std::vector<uint32_t>> batch_pending_;  // parallel: pending idx
-
-  // Shared scratch.
-  std::vector<Score> last_scores_;
-  std::vector<Score> local_;
-  std::vector<Score> capped_;
-  std::vector<Score> tmp_;
-  std::vector<Position> list_depths_;
-  std::vector<uint32_t> survivors_;
-  std::vector<ItemId> winners_;
   Request request_;
   Reply reply_;
   Reply hedge_reply_;

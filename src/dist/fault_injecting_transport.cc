@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/rng.h"
+
 namespace topk {
 namespace {
 
@@ -17,19 +19,12 @@ constexpr uint64_t kDelaySalt = 0x8cb92ba72f3d8dd7ull;
 constexpr uint64_t kDuplicateSalt = 0xaef17502108ef2d9ull;
 constexpr uint64_t kOwnerDeathSalt = 0x9fb21c651e98df25ull;
 
-// splitmix64 finalizer, identical to fault_injection.cc's: all message-fault
-// decisions are pure functions of its output.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Uniform draw in [0, 1) from a hashed tuple.
+// Uniform draw in [0, 1) from a tuple hashed with the splitmix64 finalizer
+// (Mix64, as in fault_injection.cc): all message-fault decisions are pure
+// functions of its output.
 double Draw(uint64_t seed, uint64_t owner, uint64_t counter, uint64_t salt) {
-  const uint64_t h = Mix(seed ^ Mix(owner + salt) ^
-                         Mix(counter * 0x2545f4914f6cdd1dull));
+  const uint64_t h = Mix64(seed ^ Mix64(owner + salt) ^
+                           Mix64(counter * 0x2545f4914f6cdd1dull));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 

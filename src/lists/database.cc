@@ -2,6 +2,7 @@
 
 #include "lists/database.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -98,10 +99,17 @@ Result<Database> Database::FromScoreMatrix(
   if (m == 0) {
     return Status::Invalid("score matrix has no columns");
   }
-  for (size_t i = 1; i < scores.size(); ++i) {
+  for (size_t i = 0; i < scores.size(); ++i) {
     if (scores[i].size() != m) {
       return Status::Invalid("score matrix row ", i, " has ", scores[i].size(),
                              " columns, expected ", m);
+    }
+    for (size_t j = 0; j < m; ++j) {
+      if (!std::isfinite(scores[i][j])) {
+        // A NaN would break the per-list sort's strict weak ordering.
+        return Status::Invalid("score matrix row ", i, " column ", j,
+                               " holds non-finite score ", scores[i][j]);
+      }
     }
   }
   std::vector<SortedList> lists;

@@ -4,6 +4,8 @@
 
 #include <cassert>
 
+#include "common/rng.h"
+
 namespace topk {
 namespace {
 
@@ -13,21 +15,13 @@ constexpr uint64_t kTransientSalt = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kSpikeSalt = 0xbf58476d1ce4e5b9ull;
 constexpr uint64_t kDeathSalt = 0x94d049bb133111ebull;
 
-// splitmix64 finalizer: a high-quality 64-bit mix, cheap enough to run per
-// access. All fault decisions are pure functions of its output.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Uniform draw in [0, 1) from a hashed tuple.
+// Uniform draw in [0, 1) from a tuple hashed with the splitmix64 finalizer
+// (Mix64): all fault decisions are pure functions of its output.
 double Draw(uint64_t seed, uint64_t list, uint64_t counter, uint64_t attempt,
             uint64_t salt) {
-  const uint64_t h =
-      Mix(seed ^ Mix(list + salt) ^ Mix(counter * 0x2545f4914f6cdd1dull) ^
-          Mix(attempt + 0xd6e8feb86659fd93ull));
+  const uint64_t h = Mix64(seed ^ Mix64(list + salt) ^
+                           Mix64(counter * 0x2545f4914f6cdd1dull) ^
+                           Mix64(attempt + 0xd6e8feb86659fd93ull));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 

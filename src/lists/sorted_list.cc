@@ -3,6 +3,7 @@
 #include "lists/sorted_list.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace topk {
 
@@ -38,6 +39,11 @@ Result<SortedList> SortedList::FromEntries(std::vector<ListEntry> entries) {
     }
     if (seen[e.item]) {
       return Status::Invalid("item id ", e.item, " appears more than once");
+    }
+    if (!std::isfinite(e.score)) {
+      // A NaN would break the sort's strict weak ordering.
+      return Status::Invalid("item id ", e.item, " has non-finite score ",
+                             e.score);
     }
     seen[e.item] = true;
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "lists/scorer.h"
@@ -54,6 +56,19 @@ TEST(DatabaseTest, MakeRejectsSizeMismatch) {
 TEST(DatabaseTest, FromScoreMatrixRejectsRagged) {
   Result<Database> r = Database::FromScoreMatrix({{1.0, 2.0}, {3.0}});
   ASSERT_FALSE(r.ok());
+}
+
+TEST(DatabaseTest, FromScoreMatrixRejectsNonFiniteScores) {
+  for (const Score bad : {std::numeric_limits<Score>::quiet_NaN(),
+                          std::numeric_limits<Score>::infinity(),
+                          -std::numeric_limits<Score>::infinity()}) {
+    Result<Database> r =
+        Database::FromScoreMatrix({{1.0, 2.0}, {3.0, 4.0}, {5.0, bad}});
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalid());
+    EXPECT_NE(r.status().message().find("row 2 column 1"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST(DatabaseTest, FromScoreMatrixRejectsEmpty) {

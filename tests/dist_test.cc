@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/algorithms.h"
+#include "core/candidate_bounds.h"
 #include "dist/fault_injecting_transport.h"
 #include "dist/in_process_transport.h"
 #include "dist/list_owner.h"
@@ -935,6 +936,96 @@ TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
   }
 }
 
+// The fault-free wire timeline, pinned like the faulted ladder above: the
+// answer, access counts and every DistStats field of both engines at R = 1,
+// on per-list owners and on multi-list owners (lists {0, 2} and {1, 3}).
+// window_rows = 16 with k = 50 makes TPUT's phase 1 span four windows
+// (16 + 16 + 16 + 2 rows) and its drains cross window edges. Values were
+// captured once; a change in the message sequence moves them.
+TEST_F(DistParityTest, FaultFreeWireCountsArePinned) {
+  const Database db = MakeUniformDatabase(1000, 4, 41);
+  SumScorer sum;
+  const TopKQuery query{50, &sum};
+  const std::vector<ResultItem> items = {
+      {27, 3.7903209076089874},  {813, 3.5946281858124229},
+      {823, 3.5885327642365485}, {705, 3.5594281435293467},
+      {829, 3.4911626050654689}, {485, 3.4180504016489461},
+      {816, 3.3322909659087423}, {395, 3.3218098653744423},
+      {118, 3.3025115285228037}, {790, 3.2710523499394575},
+      {873, 3.2706632445838904}, {365, 3.2619007944163934},
+      {842, 3.2355306733230353}, {619, 3.2315358317443792},
+      {184, 3.2220009487162793}, {21, 3.2151851507416298},
+      {667, 3.2032225068147264}, {661, 3.1987309540222748},
+      {460, 3.1971689992930905}, {554, 3.1730174583715374},
+      {347, 3.1719568708206798}, {89, 3.162073336100812},
+      {413, 3.1511473169417128}, {370, 3.1470472918397103},
+      {115, 3.1452747794542328}, {825, 3.119306774494623},
+      {706, 3.0926289122222523}, {22, 3.0915458215866822},
+      {925, 3.0846676660216215}, {393, 3.0843988579574138},
+      {133, 3.078353427633389},  {767, 3.0775828369166303},
+      {10, 3.0642678676257411},  {654, 3.0593195556363653},
+      {245, 3.0536156552734299}, {98, 3.0482411166077941},
+      {442, 3.0443497640379005}, {838, 3.0420280386059608},
+      {502, 3.0418043593759538}, {418, 3.0394827124560231},
+      {253, 3.0180645379568967}, {153, 3.017360727336154},
+      {862, 3.0023871998869116}, {415, 2.9957510671430967},
+      {663, 2.9946883144413925}, {992, 2.9837150169246165},
+      {490, 2.9719337593143171}, {553, 2.9706704957275534},
+      {362, 2.9665244595300404}, {910, 2.9609521018006304}};
+  struct Pinned {
+    bool tput;
+    uint64_t sorted_accesses;
+    uint64_t random_accesses;
+    DistStats stats;
+  };
+  const Pinned pinned[] = {
+      {false, 1024, 2103,
+       DistStats{.messages_sent = 1024,
+                 .replies_received = 1024,
+                 .bytes_sent = 24796,
+                 .bytes_received = 53908,
+                 .rounds = 256,
+                 .virtual_ms = 51.199999999999228}},
+      {true, 2987, 4,
+       DistStats{.messages_sent = 194,
+                 .replies_received = 194,
+                 .bytes_sent = 3120,
+                 .bytes_received = 38996,
+                 .rounds = 3,
+                 .virtual_ms = 9.7000000000000028}},
+  };
+
+  for (const bool packed : {false, true}) {
+    for (const Pinned& want : pinned) {
+      SCOPED_TRACE(std::string(want.tput ? "dTPUT" : "dBPA") +
+                   (packed ? " on owners {0, 2}, {1, 3}" : " per list"));
+      InProcessTransport transport = InProcessTransport::PerListOwners(db);
+      if (packed) {
+        transport = InProcessTransport();
+        transport.AddOwner(ListOwner(&db, {0, 2}));
+        transport.AddOwner(ListOwner(&db, {1, 3}));
+      }
+      DistOptions options;
+      options.window_rows = 16;
+      Coordinator coordinator(&transport, options);
+      ASSERT_TRUE(coordinator.Connect().ok());
+      const TopKResult result = (want.tput ? coordinator.ExecuteTput(query)
+                                           : coordinator.ExecuteBpa(query))
+                                    .ValueOrDie();
+
+      EXPECT_EQ(result.completion, Completion::kExact);
+      ASSERT_EQ(result.items.size(), items.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        EXPECT_EQ(result.items[i].item, items[i].item) << "rank " << i;
+        EXPECT_EQ(result.items[i].score, items[i].score) << "rank " << i;
+      }
+      EXPECT_EQ(result.stats.sorted_accesses, want.sorted_accesses);
+      EXPECT_EQ(result.stats.random_accesses, want.random_accesses);
+      ExpectSameDistStats(coordinator.stats(), want.stats);
+    }
+  }
+}
+
 TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
   // Correlated failure: both replicas of one list die. No ladder rung can
   // save an extinct group, so the query degrades exactly like PR 8's
@@ -966,6 +1057,131 @@ TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
     EXPECT_GE(stats.owner_deaths, 2u);
     EXPECT_GE(stats.groups_lost, 1u);
   }
+}
+
+// ---- The single-node result contract (FinishResult) ----
+
+TEST(DistContractTest, StrictModeRejectsBudgetTrips) {
+  const Database db = MakeUniformDatabase(2000, 4, 29);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  DistOptions options;
+  options.governor.strict = true;
+  options.governor.total_access_budget = 200;
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    InProcessTransport transport = InProcessTransport::PerListOwners(db);
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const Result<TopKResult> run =
+        tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsResourceExhausted()) << run.status().ToString();
+    EXPECT_NE(run.status().message().find("StrictMode"), std::string::npos);
+  }
+}
+
+TEST(DistContractTest, StrictModeRejectsALostGroup) {
+  const Database db = MakeUniformDatabase(500, 4, 23);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
+    TransportFaultPlan plan;
+    plan.kill_owners = {InProcessTransport::OwnerIndex(4, 1, 0),
+                        InProcessTransport::OwnerIndex(4, 1, 1)};
+    plan.kill_after_messages = 4;
+    FaultInjectingTransport transport(&inner, plan);
+    DistOptions options;
+    options.replication_factor = 2;
+    options.governor.strict = true;
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const Result<TopKResult> run =
+        tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsUnavailable()) << run.status().ToString();
+    EXPECT_NE(run.status().message().find("StrictMode"), std::string::npos);
+  }
+}
+
+TEST(DistContractTest, ExactAnswersCollapseTheCertificate) {
+  const Database db = MakeUniformDatabase(2000, 4, 29);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    InProcessTransport transport = InProcessTransport::PerListOwners(db);
+    Coordinator coordinator(&transport, DistOptions{});
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result =
+        (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
+            .ValueOrDie();
+    ASSERT_EQ(result.completion, Completion::kExact);
+    ASSERT_EQ(result.items.size(), query.k);
+    EXPECT_GT(result.items.back().score, 0.0);
+    EXPECT_EQ(result.kth_lower_bound, result.items.back().score);
+    EXPECT_EQ(result.unreturned_upper_bound, result.items.back().score);
+    EXPECT_EQ(result.theta, 1.0);
+  }
+}
+
+// Under access budgets the distributed engines stop where the single-node
+// loops stop — they are those loops — so the anytime answers, certificates,
+// stop positions and access counts agree exactly with memoized BPA and TPUT.
+TEST(DistContractTest, GovernedRunsMatchSingleNode) {
+  const Database db = MakeUniformDatabase(1000, 4, 5);
+  SumScorer sum;
+  const TopKQuery query{20, &sum};
+  GovernorLimits budgets[3];
+  budgets[0].sorted_access_budget = 300;
+  budgets[1].random_access_budget = 200;
+  budgets[2].total_access_budget = 500;
+  size_t tripped = 0;
+  for (const GovernorLimits& limits : budgets) {
+    for (const bool tput : {false, true}) {
+      SCOPED_TRACE(std::string(tput ? "dTPUT" : "dBPA") + " sorted=" +
+                   std::to_string(limits.sorted_access_budget) + " random=" +
+                   std::to_string(limits.random_access_budget) + " total=" +
+                   std::to_string(limits.total_access_budget));
+      AlgorithmOptions single;
+      single.memoize_seen_items = true;
+      single.score_floor = DeriveScoreFloor(db);
+      single.governor = limits;
+      const TopKResult reference =
+          MakeAlgorithm(tput ? AlgorithmKind::kTput : AlgorithmKind::kBpa,
+                        single)
+              ->Execute(db, query)
+              .ValueOrDie();
+      tripped += reference.completion != Completion::kExact ? 1 : 0;
+
+      InProcessTransport transport = InProcessTransport::PerListOwners(db);
+      DistOptions options;
+      options.governor = limits;
+      Coordinator coordinator(&transport, options);
+      ASSERT_TRUE(coordinator.Connect().ok());
+      const TopKResult dist = (tput ? coordinator.ExecuteTput(query)
+                                    : coordinator.ExecuteBpa(query))
+                                  .ValueOrDie();
+
+      ASSERT_EQ(dist.items.size(), reference.items.size());
+      for (size_t i = 0; i < reference.items.size(); ++i) {
+        EXPECT_EQ(dist.items[i].item, reference.items[i].item) << "rank " << i;
+        EXPECT_EQ(dist.items[i].score, reference.items[i].score);
+      }
+      EXPECT_EQ(dist.completion, reference.completion);
+      EXPECT_EQ(dist.theta, reference.theta);
+      EXPECT_EQ(dist.kth_lower_bound, reference.kth_lower_bound);
+      EXPECT_EQ(dist.unreturned_upper_bound, reference.unreturned_upper_bound);
+      EXPECT_EQ(dist.stop_position, reference.stop_position);
+      EXPECT_EQ(dist.stats.sorted_accesses, reference.stats.sorted_accesses);
+      EXPECT_EQ(dist.stats.random_accesses, reference.stats.random_accesses);
+    }
+  }
+  // Every budget trips both engines, except TPUT's random budget: this
+  // workload's τ2 survivors are all fully seen, so phase 3 reads nothing.
+  EXPECT_EQ(tripped, 5u);
 }
 
 TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
@@ -1282,6 +1498,54 @@ TEST(DistReplyTest, MalformedRepliesAreRejectedByName) {
     // A protocol bug is not a fault: nothing was retried or degraded.
     EXPECT_EQ(coordinator.stats().retries, 0u);
     EXPECT_EQ(coordinator.stats().owner_deaths, 0u);
+  }
+}
+
+TEST(DistReplyTest, NonFiniteOrInvertedCatalogsAreRejected) {
+  const Database db = MakeUniformDatabase(200, 3, 13);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct CatalogCase {
+    const char* name;
+    CorruptingTransport::Corrupt corrupt;
+  };
+  const CatalogCase cases[] = {
+      {"NaN max", [nan](const Request&, Reply* r) {
+         r->catalog[0].max_score = nan;
+       }},
+      {"+inf max", [inf](const Request&, Reply* r) {
+         r->catalog[0].max_score = inf;
+       }},
+      {"-inf max", [inf](const Request&, Reply* r) {
+         r->catalog[0].max_score = -inf;
+       }},
+      {"-inf min", [inf](const Request&, Reply* r) {
+         r->catalog[0].min_score = -inf;
+       }},
+      {"NaN min", [nan](const Request&, Reply* r) {
+         r->catalog[0].min_score = nan;
+       }},
+      {"min above max", [](const Request&, Reply* r) {
+         r->catalog[0].min_score = r->catalog[0].max_score + 1.0;
+       }},
+  };
+  for (const CatalogCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    InProcessTransport inner = InProcessTransport::PerListOwners(db);
+    CorruptingTransport transport(&inner, /*owner=*/1, MessageType::kHello,
+                                  c.corrupt);
+    Coordinator coordinator(&transport, DistOptions{});
+    const Status status = coordinator.Connect();
+    ASSERT_TRUE(status.IsInvalid()) << status.ToString();
+    const std::string message = status.message();
+    EXPECT_NE(message.find("owner 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("list 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("max_score"), std::string::npos) << message;
+    EXPECT_NE(message.find("min_score"), std::string::npos) << message;
+    // A rejected handshake leaves the coordinator unusable, not half-built.
+    SumScorer sum;
+    EXPECT_TRUE(
+        coordinator.ExecuteBpa(TopKQuery{5, &sum}).status().IsInvalid());
   }
 }
 

@@ -397,6 +397,45 @@ TEST(FaultInjectionTest, TargetedKillDegradesOrFailsOverDeterministically) {
   }
 }
 
+// A kill late enough that NRA's stop rule still certifies the top-k over the
+// survivors: membership is certain, but the dead list's unread cells are
+// gone, so NRA reports the winners' certified lower bounds under
+// kListFailure (as CA does) instead of exact scores.
+TEST(FaultInjectionTest, NraEndsWithADeadListAsListFailure) {
+  const Database db = MakeUniformDatabase(2000, 4, /*seed=*/1);
+  SumScorer scorer;
+  const TopKQuery query{10, &scorer};
+  AlgorithmOptions options;
+  options.fault_plan.kill_list = 1;
+  options.fault_plan.kill_after_accesses = 1000;
+  ExecutionContext context;
+  const TopKResult result =
+      MustRun(AlgorithmKind::kNra, options, db, query, &context);
+  ExecutionContext oracle_context;
+  const TopKResult oracle = MustRun(AlgorithmKind::kNaive, AlgorithmOptions{},
+                                    db, query, &oracle_context);
+
+  EXPECT_EQ(result.dead_lists, 1u);
+  EXPECT_EQ(result.completion, Completion::kListFailure);
+  EXPECT_GE(result.theta, 1.0);
+  EXPECT_TRUE(std::isfinite(result.theta));
+  ASSERT_EQ(result.items.size(), query.k);
+  std::vector<ItemId> returned;
+  std::vector<ItemId> exact;
+  for (size_t i = 0; i < query.k; ++i) {
+    const ItemId item = result.items[i].item;
+    const Score truth = db.OverallScore(item, [&](const std::vector<Score>& s) {
+      return scorer.Combine(s.data(), s.size());
+    });
+    EXPECT_LE(result.items[i].score, truth) << "item " << item;
+    returned.push_back(item);
+    exact.push_back(oracle.items[i].item);
+  }
+  std::sort(returned.begin(), returned.end());
+  std::sort(exact.begin(), exact.end());
+  EXPECT_EQ(returned, exact);  // the certified membership is the exact set
+}
+
 TEST(FaultInjectionTest, StrictModeRejectsAListFailure) {
   const Database db = MakeDb();
   SumScorer scorer;

@@ -93,7 +93,6 @@ TEST_F(QueryEngineTest, EmptyBatch) {
   const BatchResult batch = engine.ExecuteBatch(AlgorithmKind::kTa, {}, 4);
   EXPECT_TRUE(batch.results.empty());
   EXPECT_EQ(batch.stats.TotalAccesses(), 0u);
-  EXPECT_EQ(engine.last_batch_stats().TotalAccesses(), 0u);
 }
 
 TEST_F(QueryEngineTest, MoreThreadsThanQueries) {
@@ -115,8 +114,6 @@ TEST_F(QueryEngineTest, BatchStatsAggregate) {
     expected += r.ValueOrDie().stats.TotalAccesses();
   }
   EXPECT_EQ(batch.stats.TotalAccesses(), expected);
-  // The deprecated accessor reports the same aggregate for a lone issuer.
-  EXPECT_EQ(engine.last_batch_stats().TotalAccesses(), expected);
 }
 
 TEST_F(QueryEngineTest, MixedScorersInOneBatch) {
@@ -139,7 +136,7 @@ TEST_F(QueryEngineTest, MixedScorersInOneBatch) {
 }
 
 // Regression for the PR 7 stats race: two issuer threads sharing one engine
-// used to race on the mutable last_batch_stats_ / context-pool growth of the
+// used to race on a shared last-batch aggregate / context-pool growth of the
 // const ExecuteBatch. With BatchResult returned by value and leased context
 // slots, both issuers must observe exactly their own batch's aggregate and
 // every per-query answer must match a single-threaded run. Run under TSan to
@@ -175,9 +172,6 @@ TEST_F(QueryEngineTest, ConcurrentIssuersShareOneEngine) {
     for (const auto& r : got_b.results) {
       ASSERT_TRUE(r.ok());
     }
-    // The deprecated aggregate belongs to whichever batch finished last.
-    const uint64_t last = engine.last_batch_stats().TotalAccesses();
-    EXPECT_TRUE(last == want_a || last == want_b) << last;
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace topk {
@@ -77,6 +79,19 @@ TEST(SortedListTest, FromEntriesRejectsOutOfRangeItem) {
   Result<SortedList> result = SortedList::FromEntries(entries);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalid());
+}
+
+TEST(SortedListTest, FromEntriesRejectsNonFiniteScores) {
+  for (const Score bad : {std::numeric_limits<Score>::quiet_NaN(),
+                          std::numeric_limits<Score>::infinity(),
+                          -std::numeric_limits<Score>::infinity()}) {
+    std::vector<ListEntry> entries{{0, 5.0}, {1, bad}, {2, 1.0}};
+    Result<SortedList> result = SortedList::FromEntries(entries);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalid());
+    EXPECT_NE(result.status().message().find("item id 1"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(SortedListTest, EntryAtCheckedBounds) {
