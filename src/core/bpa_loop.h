@@ -3,7 +3,8 @@
 // The BPA run loop (paper Section 4), templated on the access policy
 // (core/list_io.h): bpa_algorithm.cc instantiates it over the local
 // policies, the distributed coordinator over RemoteIo. It reads lists only
-// through the policy.
+// through the policy. It is TA's loop too (ta_algorithm.cc): BPA is TA with
+// its threshold taken at the best positions instead of the last sorted row.
 
 #ifndef TOPK_CORE_BPA_LOOP_H_
 #define TOPK_CORE_BPA_LOOP_H_
@@ -21,6 +22,11 @@
 
 namespace topk {
 
+/// The tracker argument that runs the loop as TA (paper Section 3.2): no
+/// best positions are tracked, and the threshold δ combines the last scores
+/// seen under sorted access where BPA's λ combines the best-position scores.
+struct NoTracker {};
+
 // The run loop is templated on the access policy, the concrete tracker and
 // the concrete scorer. Tracker and scorer classes are `final`, so for the
 // default configuration (raw list reads, bit-array tracker, summation
@@ -30,6 +36,7 @@ namespace topk {
 template <typename IoT, typename TrackerT, typename ScorerT>
 Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
                   ExecutionContext* context, IoT io, TopKResult* result) {
+  constexpr bool kTa = std::is_same_v<TrackerT, NoTracker>;
   const size_t n = io.num_items();
   const size_t m = io.num_lists();
   const bool memoize = options.memoize_seen_items;
@@ -37,9 +44,13 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
 
   TopKBuffer& buffer = context->buffer();
   std::vector<Score>& local = context->local_scores();
+  std::vector<Score>& last_scores = context->last_scores();  // TA's δ
+  // Overall scores already resolved; used only when memoization is on (the
+  // paper's accounting model re-issues the random accesses, see Lemma 2).
   ScoreMemo* resolved = memoize ? &context->PrepareMemo(n) : nullptr;
   BitArrayTracker* const bit_trackers = context->bitarray_trackers();
-  const auto tracker = [context, bit_trackers](size_t i) -> TrackerT& {
+  // Generic, so TA's loop never instantiates it.
+  const auto tracker = [context, bit_trackers](auto i) -> TrackerT& {
     if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
       return bit_trackers[i];  // contiguous, no pointer chase
     } else {
@@ -59,7 +70,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // λ cache: best positions only ever grow, so the bp sum is an exact
   // change signature — λ is recomputed only on rows where some bp advanced.
   uint64_t bp_signature = ~uint64_t{0};
-  Score lambda = std::numeric_limits<Score>::infinity();
+  Score threshold = std::numeric_limits<Score>::infinity();  // λ or δ
   QueryGovernor& governor = context->governor();
   Completion reason = Completion::kExact;
   while (!stopped && depth < n) {
@@ -92,7 +103,9 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
     });
     // Fault injection: a dead list's sorted scan is skipped. λ stays a sound
     // upper bound on unseen items — the best-position argument is
-    // depth-independent (an item never seen anywhere sits below every bp).
+    // depth-independent (an item never seen anywhere sits below every bp) —
+    // and so does δ: a dead list's last score freezes, and everything unseen
+    // still sits below every frozen cursor.
     [[maybe_unused]] bool row_progress = !IoT::kFaultAware;
     for (size_t i = 0; i < m; ++i) {
       if constexpr (IoT::kFaultAware) {
@@ -102,9 +115,12 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
         row_progress = true;
       }
       const AccessedEntry entry = io.Sorted(i, depth);
-      // Prefetch pipelining (see ta_algorithm.cc): request the mirror row
-      // (and memo entry) of this list's row kPrefetchRowsAhead iterations
-      // ahead while combining the current, already-prefetched row.
+      // Prefetch pipelining: the sorted prefix is known ahead of time, so
+      // the mirror row (and memo entry) of the row this list will reach
+      // kPrefetchRowsAhead iterations from now is requested here, while the
+      // current (already prefetched) row is combined — the DRAM latency of a
+      // cold random access overlaps ~kPrefetchRowsAhead * m rows of work
+      // instead of stalling each row's combine loop.
       if (depth + kPrefetchRowsAhead <= n) {
         const ItemId ahead = io.PeekItem(i, depth + kPrefetchRowsAhead);
         io.PrefetchRow(ahead);
@@ -126,49 +142,49 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
           }
         }
       }
-      tracker(i).MarkSeen(entry.position);
+      if constexpr (kTa) {
+        last_scores[i] = entry.score;
+      } else {
+        tracker(i).MarkSeen(entry.position);
+      }
       if (memoize && resolved->Contains(entry.item)) {
-        // Positions of this item were already recorded in every list the
-        // first time it was resolved; only the buffer offer remains.
+        // BPA recorded this item's positions in every list the first time it
+        // resolved it; only the buffer offer remains.
         buffer.Offer(entry.item, resolved->Get(entry.item));
         continue;
       }
       if constexpr (IoT::kFaultAware) {
-        // BPA resolves every newly seen item with (m-1) random accesses; a
-        // dead list makes that impossible — fail over to NRA.
+        // TA and BPA resolve every newly seen item with (m-1) random
+        // accesses; a dead list makes that impossible — fail over to NRA.
         for (size_t j = 0; j < m; ++j) {
           if (j != i && !io.RandomAlive(j)) {
             io.Flush();
             return Status::Unavailable(
-                "BPA: list ", j,
+                kTa ? "TA" : "BPA", ": list ", j,
                 " died permanently; random access is unavailable");
           }
         }
       }
-      Score overall;
-      if constexpr (std::is_same_v<ScorerT, SumScorer>) {
-        // Summation needs no per-list score vector: accumulate in a register
-        // (identical addition order to SumScorer::Combine over local[]).
-        overall = 0.0;
-        for (size_t j = 0; j < m; ++j) {
-          if (j == i) {
-            overall += entry.score;
-            continue;
-          }
+      // Summation needs no per-list score vector: it accumulates in a
+      // register (identical addition order to SumScorer::Combine over
+      // local[]); other scorers combine local[].
+      Score overall = 0.0;
+      for (size_t j = 0; j < m; ++j) {
+        Score score = entry.score;
+        if (j != i) {
           const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
-          overall += lookup.score;
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          if (j == i) {
-            local[j] = entry.score;
-            continue;
+          if constexpr (!kTa) {
+            tracker(j).MarkSeen(lookup.position);
           }
-          const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
-          local[j] = lookup.score;
+          score = lookup.score;
         }
+        if constexpr (std::is_same_v<ScorerT, SumScorer>) {
+          overall += score;
+        } else {
+          local[j] = score;
+        }
+      }
+      if constexpr (!std::is_same_v<ScorerT, SumScorer>) {
         overall = scorer.Combine(local.data(), m);
       }
       if (memoize) {
@@ -182,34 +198,42 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
         break;
       }
     }
-    // Best positions overall score λ. Reading si(bpi) is not a charged list
-    // access: the entry at the best position was necessarily seen already.
-    uint64_t signature = 0;
-    for (size_t i = 0; i < m; ++i) {
-      signature += tracker(i).best_position();
-    }
-    if (signature != bp_signature) {
-      bp_signature = signature;
+    // TA's δ combines the row's last scores, BPA's λ the best positions'
+    // scores. Reading si(bpi) is not a charged list access: the entry at the
+    // best position was necessarily seen already.
+    Position min_bp = 0;  // TA traces none
+    if constexpr (kTa) {
+      threshold = scorer.Combine(last_scores.data(), m);
+    } else {
+      uint64_t signature = 0;
       for (size_t i = 0; i < m; ++i) {
-        local[i] = io.ScoreAt(i, tracker(i).best_position());
+        signature += tracker(i).best_position();
       }
-      lambda = scorer.Combine(local.data(), m);
+      if (signature != bp_signature) {
+        bp_signature = signature;
+        for (size_t i = 0; i < m; ++i) {
+          local[i] = io.ScoreAt(i, tracker(i).best_position());
+        }
+        threshold = scorer.Combine(local.data(), m);
+      }
+      if (options.collect_trace) {
+        min_bp = static_cast<Position>(n);
+        for (size_t i = 0; i < m; ++i) {
+          min_bp = std::min(min_bp, tracker(i).best_position());
+        }
+      }
     }
     if (options.collect_trace) {
-      Position min_bp = static_cast<Position>(n);
-      for (size_t i = 0; i < m; ++i) {
-        min_bp = std::min(min_bp, tracker(i).best_position());
-      }
       result->trace.push_back(StopRuleTrace{
-          depth, lambda,
+          depth, threshold,
           buffer.full() ? buffer.KthScore()
                         : std::numeric_limits<double>::quiet_NaN(),
           buffer.size(), min_bp});
     }
-    // Strictly above λ: a tie could belong to an unseen item with a smaller
-    // id (see TopKBuffer::HasKAbove). At depth == n the loop ends with every
-    // item resolved — the exact deterministic top-k.
-    if (buffer.HasKAbove(lambda)) {
+    // Strictly above the threshold: a tie could belong to an unseen item
+    // with a smaller id (see TopKBuffer::HasKAbove). At depth == n the loop
+    // ends with every item resolved — the exact deterministic top-k.
+    if (buffer.HasKAbove(threshold)) {
       stopped = true;
     }
     // Governance: one predictable branch per row when nothing is armed.
@@ -223,19 +247,22 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
 
   buffer.AppendSortedItems(&result->items);
   result->stop_position = depth;
-  Position min_bp = static_cast<Position>(n);
-  for (size_t i = 0; i < m; ++i) {
-    min_bp = std::min(min_bp, tracker(i).best_position());
+  if constexpr (!kTa) {
+    Position min_bp = static_cast<Position>(n);
+    for (size_t i = 0; i < m; ++i) {
+      min_bp = std::min(min_bp, tracker(i).best_position());
+    }
+    result->min_best_position = min_bp;
   }
-  result->min_best_position = min_bp;
   if (reason != Completion::kExact) {
-    // Anytime exit: buffered scores are exact; λ (from the last completed
-    // row) bounds every unseen item, and rejected seen items sit below the
-    // k-th buffered score, which CertifyAnytime folds in.
+    // Anytime exit: buffered scores are exact (resolved at offer time); λ or
+    // δ (from the last completed row) bounds every unseen item, and rejected
+    // seen items sit below the k-th buffered score, which CertifyAnytime
+    // folds in.
     const Score kth = result->items.empty()
                           ? -std::numeric_limits<Score>::infinity()
                           : result->items.back().score;
-    CertifyAnytime(reason, kth, lambda, result);
+    CertifyAnytime(reason, kth, threshold, result);
   }
   return Status::OK();
 }

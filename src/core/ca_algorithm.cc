@@ -253,7 +253,7 @@ Status DispatchCa(const AlgorithmOptions& options, const Database& db,
 Status CaAlgorithm::ValidateFor(const Database& db,
                                 const TopKQuery& query) const {
   (void)query;
-  return ValidatePoolQuery("CA", db, options().score_floor);
+  return ValidatePoolQuery("CA", LocalIo(&db), options().score_floor);
 }
 
 Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,

@@ -56,23 +56,25 @@
 
 namespace topk {
 
-/// Shared validation of the pool-backed algorithms (NRA/CA/TPUT): the pool's
-/// seen mask is one 64-bit word, capping m at CandidatePool::kMaxLists, and
-/// every local score must respect the floor the lower bounds are built from.
-inline Status ValidatePoolQuery(const char* algorithm, const Database& db,
-                                double score_floor) {
-  if (db.num_lists() > CandidatePool::kMaxLists) {
+/// Shared validation of the pool-backed algorithms (NRA/CA/TPUT) over the
+/// catalog of an access policy (core/list_io.h): the pool's seen mask is one
+/// 64-bit word, capping m at CandidatePool::kMaxLists, and every local score
+/// must respect the floor the lower bounds are built from.
+template <typename IoT>
+Status ValidatePoolQuery(const char* algorithm, const IoT& io,
+                         double score_floor) {
+  if (io.num_lists() > CandidatePool::kMaxLists) {
     return Status::NotImplemented(
         algorithm, " candidate bookkeeping keeps per-candidate seen masks in "
         "a single 64-bit word, capping queries at ", CandidatePool::kMaxLists,
-        " lists; got ", db.num_lists(),
+        " lists; got ", io.num_lists(),
         " (multi-word masks are not implemented)");
   }
-  for (size_t i = 0; i < db.num_lists(); ++i) {
-    if (db.list(i).MinScore() < score_floor) {
+  for (size_t i = 0; i < io.num_lists(); ++i) {
+    if (io.MinScore(i) < score_floor) {
       return Status::Invalid(
           algorithm, " lower bounds assume scores >= score floor ",
-          score_floor, "; list ", i, " has minimum ", db.list(i).MinScore(),
+          score_floor, "; list ", i, " has minimum ", io.MinScore(i),
           " (set AlgorithmOptions::score_floor accordingly)");
     }
   }

@@ -1,10 +1,10 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // Access policies: the template argument through which every algorithm run
-// loop reads its lists. The BPA, TPUT and NRA loops touch lists only through
-// their policy, so one loop serves every backend (TA, BPA2, CA and FA still
-// take their uncounted metadata and prefetch reads from the Database). Four
-// policies exist:
+// loop reads its lists. The BPA (also TA's), TPUT and NRA loops touch lists
+// only through their policy, so one loop serves every backend (BPA2, CA and
+// FA still take their uncounted metadata and prefetch reads from the
+// Database). Four policies exist:
 //
 //  * EngineIo routes every access through the AccessEngine — per-access
 //    cursors, counters and the optional audit trail. Required whenever the

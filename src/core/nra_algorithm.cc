@@ -10,7 +10,7 @@ namespace topk {
 Status NraAlgorithm::ValidateFor(const Database& db,
                                  const TopKQuery& query) const {
   (void)query;
-  return ValidatePoolQuery("NRA", db, options().score_floor);
+  return ValidatePoolQuery("NRA", LocalIo(&db), options().score_floor);
 }
 
 Status NraAlgorithm::Run(const Database& db, const TopKQuery& query,

@@ -39,18 +39,7 @@ Result<TopKResult> TopKAlgorithm::Execute(const Database& db,
 Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
                                   ExecutionContext* context,
                                   TopKResult* result) const {
-  if (query.scorer == nullptr) {
-    return Status::Invalid(name(),
-                           ": query has no scoring function (a Scorer is "
-                           "required); got scorer = nullptr");
-  }
-  if (query.k == 0) {
-    return Status::Invalid(name(), ": k must be >= 1; got k = 0");
-  }
-  if (query.k > db.num_items()) {
-    return Status::Invalid(name(), ": k = ", query.k,
-                           " exceeds database size n = ", db.num_items());
-  }
+  TOPK_RETURN_NOT_OK(ValidateQuery(name().c_str(), query, db.num_items()));
   TOPK_RETURN_NOT_OK(options_.governor.Validate(name().c_str()));
   TOPK_RETURN_NOT_OK(options_.fault_plan.Validate(name().c_str(),
                                                   db.num_lists()));
@@ -112,6 +101,22 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
 
   return FinishResult(name().c_str(), query.k, options_.governor.strict,
                       result);
+}
+
+Status ValidateQuery(const char* engine, const TopKQuery& query, size_t n) {
+  if (query.scorer == nullptr) {
+    return Status::Invalid(engine,
+                           ": query has no scoring function (a Scorer is "
+                           "required); got scorer = nullptr");
+  }
+  if (query.k == 0) {
+    return Status::Invalid(engine, ": k must be >= 1; got k = 0");
+  }
+  if (query.k > n) {
+    return Status::Invalid(engine, ": k = ", query.k,
+                           " exceeds database size n = ", n);
+  }
+  return Status::OK();
 }
 
 Status FinishResult(const char* engine, size_t k, bool strict,

@@ -151,6 +151,10 @@ class TopKAlgorithm {
   AlgorithmOptions options_;
 };
 
+/// The query checks every engine runs first, messages naming `engine`: a
+/// scorer, and k in [1, n].
+Status ValidateQuery(const char* engine, const TopKQuery& query, size_t n);
+
 /// The result contract every engine meets before it returns an answer —
 /// TopKAlgorithm::ExecuteInto and the distributed Coordinator alike: an exact
 /// answer holds exactly k items and an anytime one at most k (else

@@ -8,12 +8,7 @@ namespace topk {
 
 Status TputAlgorithm::ValidateFor(const Database& db,
                                   const TopKQuery& query) const {
-  if (query.scorer->name() != "sum") {
-    return Status::NotImplemented(
-        "TPUT thresholding (τ1/m) is defined for summation scoring; got '",
-        query.scorer->name(), "'");
-  }
-  return ValidatePoolQuery("TPUT", db, options().score_floor);
+  return ValidateTputQuery("TPUT", query, LocalIo(&db), options().score_floor);
 }
 
 Status TputAlgorithm::Run(const Database& db, const TopKQuery& query,

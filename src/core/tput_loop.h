@@ -22,6 +22,19 @@
 
 namespace topk {
 
+/// TPUT's query checks, messages naming `engine`: summation scoring only (τ1/m
+/// splits a sum), plus the pool's checks over the policy's catalog.
+template <typename IoT>
+Status ValidateTputQuery(const char* engine, const TopKQuery& query,
+                         const IoT& io, double score_floor) {
+  if (query.scorer->name() != "sum") {
+    return Status::NotImplemented(
+        engine, " thresholding (τ1/m) is defined for summation scoring; got '",
+        query.scorer->name(), "'");
+  }
+  return ValidatePoolQuery(engine, io, score_floor);
+}
+
 // Templated on the access policy (TPUT is summation-only, so there is no
 // scorer dispatch): the default raw-list configuration inlines all three
 // phases' access loops over the pool's flat rows. Phase 3's τ2 filter runs

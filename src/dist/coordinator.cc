@@ -121,7 +121,11 @@ Status DistOptions::Validate(const char* algorithm, size_t num_owners) const {
 }
 
 Coordinator::Coordinator(Transport* transport, const DistOptions& options)
-    : transport_(transport), options_(options) {}
+    : transport_(transport),
+      options_(options),
+      reads_(std::make_unique<RemoteReads>()) {}
+
+Coordinator::~Coordinator() = default;
 
 Status Coordinator::Connect() {
   const size_t owners = transport_->num_owners();
@@ -149,17 +153,17 @@ Status Coordinator::Connect() {
   std::vector<Score> max_score;
   std::vector<Score> min_score;
   n_ = 0;
+  Request hello;
+  hello.type = MessageType::kHello;
+  Reply reply;
   for (size_t owner = 0; owner < owners; ++owner) {
-    request_.type = MessageType::kHello;
-    request_.list_index = 0;
-    request_.items.clear();
-    TOPK_RETURN_NOT_OK(OwnerRpc(owner, kNoList, request_, &reply_,
+    TOPK_RETURN_NOT_OK(OwnerRpc(owner, kNoList, hello, &reply,
                                 /*allow_breaker_failover=*/false));
-    if (reply_.catalog.empty()) {
+    if (reply.catalog.empty()) {
       return Status::Invalid("Coordinator: owner ", owner,
                              " advertises no lists");
     }
-    for (const ListCatalog& entry : reply_.catalog) {
+    for (const ListCatalog& entry : reply.catalog) {
       const size_t index = entry.list_index;
       if (index >= claims.size()) {
         claims.resize(index + 1);
@@ -243,13 +247,12 @@ Status Coordinator::Connect() {
   return Status::OK();
 }
 
-void Coordinator::BeginQuery(size_t k) {
+void Coordinator::BeginQuery(size_t k, bool bpa) {
   const size_t m = replicas_of_.size();
   const size_t owners = transport_->num_owners();
   stats_ = DistStats{};
-  access_ = AccessStats{};
   backoff_counter_ = 0;
-  error_ = Status::OK();
+  reads_->Reset(m, n_, bpa);
   context_.Prepare(m, k);
   context_.governor().Arm(options_.governor);
   // Owners start every query alive: a query's death discoveries are its own
@@ -266,16 +269,6 @@ void Coordinator::BeginQuery(size_t k) {
   for (size_t i = 0; i < m; ++i) {
     primary_of_[i] = replicas_of_[i][0];
   }
-  window_base_.assign(m, 0);
-  window_end_.assign(m, 0);
-  window_.resize(m);
-  batch_items_.resize(m);
-  lookups_.resize(m);
-  lookup_cursor_.assign(m, 0);
-  lookup_scores_.resize(m);
-  for (std::vector<Score>& scores : lookup_scores_) {
-    scores.resize(n_ + 1);  // no reset: RemoteIo::ScoreAt reads this query's
-  }                         // lookups only
 }
 
 // --- RPC machinery ---
@@ -681,57 +674,6 @@ Status Coordinator::CheckReply(size_t list, const Request& request,
   return Status::OK();
 }
 
-// --- RemoteIo's reads ---
-
-bool Coordinator::FetchRows(size_t list, Position position, Position last,
-                            MessageType type, Score threshold) {
-  if (!error_.ok() || !ListAlive(list)) {
-    return false;
-  }
-  request_.type = type;
-  request_.list_index = static_cast<uint32_t>(list);
-  request_.start = position;
-  request_.max_entries = static_cast<uint32_t>(
-      std::min<uint64_t>(options_.window_rows, last - position + 1));
-  request_.threshold = threshold;
-  request_.items.clear();
-  const Status status = ListRpc(list, request_, &reply_);
-  if (!status.ok()) {
-    // Unavailable: the whole replica group died (ListAlive turns false).
-    if (!status.IsUnavailable()) {
-      error_ = status;
-    }
-    return false;
-  }
-  window_[list].swap(reply_.entries);  // the next reply clears it
-  window_base_[list] = position;
-  window_end_[list] = position + static_cast<Position>(window_[list].size());
-  return true;
-}
-
-void Coordinator::SendLookups() {
-  for (size_t list = 0; list < num_lists(); ++list) {
-    lookup_cursor_[list] = 0;
-    if (batch_items_[list].empty() || !error_.ok() || !ListAlive(list)) {
-      continue;
-    }
-    request_.type = MessageType::kRandomLookup;
-    request_.list_index = static_cast<uint32_t>(list);
-    request_.items.swap(batch_items_[list]);  // the next batch clears it
-    const Status status = ListRpc(list, request_, &reply_);
-    if (!status.ok()) {
-      if (!status.IsUnavailable()) {
-        error_ = status;
-      }
-      continue;
-    }
-    lookups_[list].swap(reply_.lookups);  // the next reply clears it
-    for (const ItemLookup& lookup : lookups_[list]) {
-      lookup_scores_[list][lookup.position] = lookup.score;
-    }
-  }
-}
-
 // --- query execution ---
 
 Result<TopKResult> Coordinator::ExecuteBpa(const TopKQuery& query) {
@@ -750,33 +692,18 @@ Result<TopKResult> Coordinator::Execute(const char* algorithm,
                            ": Coordinator::Connect() must succeed before "
                            "queries execute");
   }
-  if (query.scorer == nullptr) {
-    return Status::Invalid(algorithm, ": query has no scorer");
-  }
-  if (query.k < 1 || query.k > n_) {
-    return Status::Invalid(algorithm, ": k must be in [1, ", n_, "]; got k = ",
-                           query.k);
-  }
-  if (tput && query.scorer->name() != "sum") {
-    return Status::NotImplemented(
-        "DistTPUT thresholding (τ1/m) is defined for summation scoring; got "
-        "'",
-        query.scorer->name(), "'");
-  }
-  if (tput && num_lists() > CandidatePool::kMaxLists) {
-    return Status::NotImplemented(
-        "DistTPUT candidate bookkeeping keeps per-candidate seen masks in a "
-        "single 64-bit word, capping queries at ",
-        CandidatePool::kMaxLists, " lists; got ", num_lists());
+  TOPK_RETURN_NOT_OK(ValidateQuery(algorithm, query, n_));
+  RemoteIo io(this, reads_.get());
+  if (tput) {
+    TOPK_RETURN_NOT_OK(ValidateTputQuery(algorithm, query, io, floor_));
   }
   Timer timer;
-  BeginQuery(query.k);
+  BeginQuery(query.k, /*bpa=*/!tput);
   TopKResult result;
-  RemoteIo io(this);
   Status status =
       tput ? RunTputLoop(core_options_, query, &context_, io, &result)
            : DispatchBpa(core_options_, query, &context_, io, &result);
-  if (status.IsUnavailable() && error_.ok() &&
+  if (status.IsUnavailable() && reads_->error.ok() &&
       num_lists() <= CandidatePool::kMaxLists) {
     // A replica group died and random access to its list is gone. Fail over
     // to NRA over the survivors, as ExecuteInto does: logical accesses stay
@@ -788,10 +715,11 @@ Result<TopKResult> Coordinator::Execute(const char* algorithm,
     status = DispatchNra(core_options_, query, &context_, io, &result);
     result.failed_over = true;
   }
-  TOPK_RETURN_NOT_OK(error_);  // a malformed reply: surface, never degrade
+  // A malformed reply or a misread lookup: surface, never degrade.
+  TOPK_RETURN_NOT_OK(reads_->error);
   TOPK_RETURN_NOT_OK(status);
   result.elapsed_ms = timer.ElapsedMillis();
-  result.stats = access_;
+  result.stats = reads_->access;
   result.fault_retries = stats_.retries;
   result.dead_lists = io.DeadLists();
   TOPK_RETURN_NOT_OK(

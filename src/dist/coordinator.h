@@ -46,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -55,11 +56,12 @@
 #include "core/topk_algorithm.h"
 #include "core/topk_result.h"
 #include "dist/transport.h"
-#include "lists/access_stats.h"
 #include "lists/scorer.h"
 #include "lists/types.h"
 
 namespace topk {
+
+struct RemoteReads;  // dist/remote_io.h
 
 /// Knobs of one coordinator. A default-constructed DistOptions is valid for
 /// any transport with at least one owner.
@@ -149,6 +151,7 @@ class Coordinator {
  public:
   /// Binds to `transport` (not owned; must outlive the coordinator).
   Coordinator(Transport* transport, const DistOptions& options);
+  ~Coordinator();
 
   /// The catalog handshake: one kHello per owner. Fails unless every list
   /// index 0..m-1 is claimed by exactly replication_factor owners (its
@@ -205,7 +208,7 @@ class Coordinator {
 
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
-  void BeginQuery(size_t k);
+  void BeginQuery(size_t k, bool bpa);
 
   /// Validates the options and the query (messages name `algorithm`), runs
   /// the core BPA or TPUT loop over RemoteIo and, when a replica group is
@@ -282,19 +285,6 @@ class Coordinator {
   void RecordOutcome(size_t owner, bool success);
   double HealthJitter();
 
-  // --- RemoteIo's reads (see dist/remote_io.h) ---
-
-  /// Refills `list`'s window buffer from row `position` (not buffered) with
-  /// one `type` message (kSortedWindow or kDrain with `threshold`) of
-  /// min(window_rows, last - position + 1) rows. False when the list is dead
-  /// or the reply was malformed (error_).
-  bool FetchRows(size_t list, Position position, Position last,
-                 MessageType type, Score threshold);
-
-  /// Sends one kRandomLookup per live list with a non-empty batch_items_
-  /// entry and keeps the replies for RemoteIo::Random.
-  void SendLookups();
-
   Transport* transport_;
   DistOptions options_;
 
@@ -310,10 +300,9 @@ class Coordinator {
 
   // Per-query state (reset by BeginQuery; storage retained).
   DistStats stats_;
-  AccessStats access_;  // logical access counts, counted by RemoteIo
   ExecutionContext context_;     // the core loops' scratch and governor
   AlgorithmOptions core_options_;  // memoized BPA, the catalog's floor
-  Status error_;  // first malformed reply of the query (a protocol bug)
+  std::unique_ptr<RemoteReads> reads_;  // RemoteIo's buffers
   uint64_t backoff_counter_ = 0;
 
   // Replica health (reset by BeginQuery).
@@ -327,17 +316,6 @@ class Coordinator {
   std::vector<double> latency_ring_;  // owner-major, kLatencyRing samples
   std::vector<uint32_t> latency_count_;
 
-  // RemoteIo's buffers, per list (reset by BeginQuery; storage retained).
-  std::vector<Position> window_base_;  // first buffered position
-  std::vector<Position> window_end_;   // one past the last; 0 = empty
-  std::vector<std::vector<ListEntry>> window_;
-  std::vector<std::vector<ItemId>> batch_items_;  // announced random reads
-  std::vector<std::vector<ItemLookup>> lookups_;  // their replies
-  std::vector<size_t> lookup_cursor_;             // next reply Random serves
-  std::vector<std::vector<Score>> lookup_scores_;  // position -> score
-
-  Request request_;
-  Reply reply_;
   Reply hedge_reply_;
   Request probe_request_;
   Reply probe_reply_;

@@ -22,8 +22,8 @@
 // is (Coordinator::ListAlive). An RPC that returns Unavailable has lost the
 // whole group, and the loops' aliveness guards take over: BPA and TPUT
 // return Unavailable and the coordinator re-runs the core NRA loop over the
-// same RemoteIo. A malformed reply is a protocol bug, not a death: the
-// coordinator records it (error_), every list then reads as dead so the loop
+// same buffers. A malformed reply is a protocol bug, not a death: it is
+// recorded (RemoteReads::error), every list then reads as dead so the loop
 // winds down without sending anything more, and the query returns the error.
 //
 // Access counts are logical — one per Sorted/Random call, as the local
@@ -33,24 +33,66 @@
 #ifndef TOPK_DIST_REMOTE_IO_H_
 #define TOPK_DIST_REMOTE_IO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "common/status.h"
 #include "dist/coordinator.h"
+#include "dist/messages.h"
 #include "lists/access_stats.h"
 #include "lists/types.h"
 
 namespace topk {
 
-/// A copyable handle: the buffers live in the Coordinator, so the BPA/TPUT
-/// run and its NRA failover share them. Each handle caches the window it
-/// last looked up; the coordinator gives every run a fresh handle.
+/// The read state behind one query's RemoteIo handles. The Coordinator owns
+/// one and resets it per query (storage retained), so a BPA or TPUT run and
+/// its NRA failover share the buffers; only RemoteIo touches them.
+struct RemoteReads {
+  /// Empties the buffers for a query over `m` lists of `n` items. Only BPA
+  /// reads scores by position (its λ), so only a BPA query sizes that
+  /// m·(n+1) array; other queries write it only once it exists.
+  void Reset(size_t m, size_t n, bool bpa) {
+    access = AccessStats{};
+    error = Status::OK();
+    window_base.assign(m, 0);
+    window_end.assign(m, 0);
+    window.resize(m);
+    requested.resize(m);
+    lookups.resize(m);
+    lookup_cursor.assign(m, 0);
+    scores_by_position.resize(m);
+    for (std::vector<Score>& scores : scores_by_position) {
+      // No reset: ScoreAt reads only positions this query revealed.
+      scores.resize(bpa ? n + 1 : scores.size());
+    }
+  }
+
+  AccessStats access;  // logical access counts
+  Status error;        // first malformed reply of the query (a protocol bug)
+
+  std::vector<Position> window_base;  // list -> first buffered position
+  std::vector<Position> window_end;   // list -> one past the last; 0 = empty
+  std::vector<std::vector<ListEntry>> window;
+  std::vector<std::vector<ItemId>> requested;    // the announced random reads
+  std::vector<std::vector<ItemLookup>> lookups;  // their replies
+  std::vector<size_t> lookup_cursor;             // next reply Random serves
+  std::vector<std::vector<Score>> scores_by_position;
+  Request request;
+  Reply reply;
+};
+
+/// A copyable handle over the Coordinator's RPCs and a RemoteReads. Each
+/// handle caches the window it last looked up; the coordinator gives every
+/// run a fresh handle.
 class RemoteIo {
  public:
   static constexpr bool kFaultAware = true;
 
-  explicit RemoteIo(Coordinator* coordinator) : c_(coordinator) {}
+  RemoteIo(Coordinator* coordinator, RemoteReads* reads)
+      : c_(coordinator), r_(reads) {}
 
   size_t num_items() const { return c_->n_; }
   size_t num_lists() const { return c_->replicas_of_.size(); }
@@ -60,24 +102,39 @@ class RemoteIo {
   // --- counted reads (after FetchSorted/DrainTo, resp. BatchRandom) ---
 
   AccessedEntry Sorted(size_t list, Position position) {
-    ++c_->access_.sorted_accesses;
+    ++r_->access.sorted_accesses;
     Buffered(list, position);
     const ListEntry& entry = rows_[position - base_];
     return AccessedEntry{entry.item, entry.score, position};
   }
-  ItemLookup Random(size_t list, ItemId /*item*/) {
-    ++c_->access_.random_accesses;
-    return c_->lookups_[list][c_->lookup_cursor_[list]++];
+  /// Serves the next reply of `list`'s lookup batch. The loops replay their
+  /// announcement exactly, so a read the batch does not hold next is a bug:
+  /// it fails the query (Internal) instead of lending `item` another item's
+  /// score.
+  ItemLookup Random(size_t list, ItemId item) {
+    ++r_->access.random_accesses;
+    size_t& cursor = r_->lookup_cursor[list];
+    if (cursor < r_->lookups[list].size() &&
+        r_->requested[list][cursor] == item) {
+      return r_->lookups[list][cursor++];
+    }
+    if (r_->error.ok()) {
+      r_->error = Status::Internal("RemoteIo: read of item ", item,
+                                   " on list ", list,
+                                   " was not announced to BatchRandom");
+    }
+    return ItemLookup{MinScore(list), 1};  // every list now reads as dead
   }
 
   // --- uncounted reads ---
 
-  /// BPA's λ reads a best position, which is either in the list's window
-  /// (the sorted depth and the rows below it) or beyond it, where only a
-  /// lookup of this query can have revealed it.
+  /// BPA's λ reads a best position: at or past the list's last sorted row,
+  /// so it is in the list's window, on the last row of the window before it
+  /// (a list that dies as its windows roll over stops there), or past both,
+  /// where only a lookup of this query can have revealed it.
   Score ScoreAt(size_t list, Position position) {
     return Buffered(list, position) ? rows_[position - base_].score
-                                    : c_->lookup_scores_[list][position];
+                                    : r_->scores_by_position[list][position];
   }
   /// Never reached: the coordinator runs NRA only after a replica group
   /// died, and a fault-aware NRA run with a dead list reports certified
@@ -96,19 +153,19 @@ class RemoteIo {
   // --- fault-aware guards ---
 
   bool SortedAlive(size_t list) const {
-    return c_->error_.ok() && c_->ListAlive(list);
+    return r_->error.ok() && c_->ListAlive(list);
   }
   bool RandomAlive(size_t list) const { return SortedAlive(list); }
   uint32_t DeadLists() const {
-    return c_->error_.ok() ? c_->stats_.groups_lost
-                           : static_cast<uint32_t>(num_lists());
+    return r_->error.ok() ? c_->stats_.groups_lost
+                          : static_cast<uint32_t>(num_lists());
   }
   /// A dead list stays dead even where rows are still buffered: a scan must
   /// be a contiguous prefix for its cursor score to bound the unread rows.
   bool FetchSorted(size_t list, Position position, Position last) {
-    return Buffered(list, position) ? alive_
-                                    : Fetch(list, position, last,
-                                            MessageType::kSortedWindow, 0.0);
+    return Buffered(list, position)
+               ? alive_
+               : Fetch(list, position, last, MessageType::kSortedWindow, 0.0);
   }
   bool DrainTo(size_t list, Position position, Score threshold) {
     return Buffered(list, position)
@@ -122,46 +179,106 @@ class RemoteIo {
   void BeginRound() { ++c_->stats_.rounds; }
   template <typename Enumerate>
   void BatchRandom(const Enumerate& enumerate) {
-    for (std::vector<ItemId>& items : c_->batch_items_) {
+    for (std::vector<ItemId>& items : r_->requested) {
       items.clear();
     }
     enumerate([this](size_t list, ItemId item) {
-      c_->batch_items_[list].push_back(item);
+      r_->requested[list].push_back(item);
     });
-    c_->SendLookups();
+    SendLookups();
     list_ = kNoList;  // a lookup can kill a list
   }
 
   void Flush() {}
-  const AccessStats& stats() const { return c_->access_; }
+  const AccessStats& stats() const { return r_->access; }
   double VirtualLatencyMs() const { return c_->stats_.virtual_ms; }
 
  private:
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
   /// Whether row `position` of `list` is in its window buffer, looking the
-  /// window up in the coordinator only when `list` differs from the last
-  /// one: the loops scan a list at a time (TPUT's drains, NRA's rounds), so
-  /// the per-row guards and reads mostly hit the cached bounds.
+  /// window up only when `list` differs from the last one: the loops scan a
+  /// list at a time (TPUT's drains, NRA's rounds), so the per-row guards and
+  /// reads mostly hit the cached bounds.
   bool Buffered(size_t list, Position position) {
     if (list != list_) {
       list_ = list;
-      base_ = c_->window_base_[list];
-      end_ = c_->window_end_[list];
-      rows_ = c_->window_[list].data();
+      base_ = r_->window_base[list];
+      end_ = r_->window_end[list];
+      rows_ = r_->window[list].data();
       alive_ = SortedAlive(list);
     }
     return position >= base_ && position < end_;
   }
 
+  /// Refills `list`'s window from row `position` (not buffered) with one
+  /// `type` message (kSortedWindow, or kDrain with `threshold`) of
+  /// min(window_rows, last - position + 1) rows. False when the list is dead
+  /// or the reply was malformed (RemoteReads::error).
   bool Fetch(size_t list, Position position, Position last, MessageType type,
              Score threshold) {
-    const bool fetched = c_->FetchRows(list, position, last, type, threshold);
     list_ = kNoList;
-    return fetched;
+    if (!SortedAlive(list)) {
+      return false;
+    }
+    RemoteReads& r = *r_;
+    r.request.type = type;
+    r.request.list_index = static_cast<uint32_t>(list);
+    r.request.start = position;
+    r.request.max_entries = static_cast<uint32_t>(
+        std::min<uint64_t>(c_->options_.window_rows, last - position + 1));
+    r.request.threshold = threshold;
+    r.request.items.clear();
+    const Status status = c_->ListRpc(list, r.request, &r.reply);
+    if (!status.ok()) {
+      // Unavailable: the whole replica group died (ListAlive turns false).
+      if (!status.IsUnavailable()) {
+        r.error = status;
+      }
+      return false;
+    }
+    if (r.window_end[list] != 0 && !r.scores_by_position[list].empty()) {
+      r.scores_by_position[list][r.window_end[list] - 1] =
+          r.window[list].back().score;  // see ScoreAt
+    }
+    r.window[list].swap(r.reply.entries);  // the next reply clears it
+    r.window_base[list] = position;
+    r.window_end[list] = position + static_cast<Position>(r.window[list].size());
+    return true;
+  }
+
+  /// Sends one kRandomLookup per live list with announced reads and keeps
+  /// the replies, in request order, for Random.
+  void SendLookups() {
+    RemoteReads& r = *r_;
+    for (size_t list = 0; list < r.requested.size(); ++list) {
+      r.lookup_cursor[list] = 0;
+      r.lookups[list].clear();  // a list without replies serves no reads
+      if (r.requested[list].empty() || !SortedAlive(list)) {
+        continue;
+      }
+      r.request.type = MessageType::kRandomLookup;
+      r.request.list_index = static_cast<uint32_t>(list);
+      r.request.items.swap(r.requested[list]);
+      const Status status = c_->ListRpc(list, r.request, &r.reply);
+      r.request.items.swap(r.requested[list]);  // Random checks against it
+      if (!status.ok()) {
+        if (!status.IsUnavailable()) {
+          r.error = status;
+        }
+        continue;
+      }
+      r.lookups[list].swap(r.reply.lookups);  // the next reply clears it
+      if (!r.scores_by_position[list].empty()) {
+        for (const ItemLookup& lookup : r.lookups[list]) {
+          r.scores_by_position[list][lookup.position] = lookup.score;
+        }
+      }
+    }
   }
 
   Coordinator* c_;
+  RemoteReads* r_;
   size_t list_ = kNoList;  // the cached window: rows [base_, end_) at rows_
   Position base_ = 0;
   Position end_ = 0;

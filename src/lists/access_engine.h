@@ -114,8 +114,6 @@ class AccessEngine {
   /// mode is off.
   uint32_t MaxTouchCount(size_t list_index) const;
 
-  bool audit_enabled() const { return audit_; }
-
  private:
   void RecordTouch(size_t list_index, Position pos) {
     if (audit_) {

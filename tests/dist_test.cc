@@ -563,6 +563,68 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
   }
 }
 
+// Multi-list owners lose several lists at once. Sweeping the kill point of a
+// packed owner {0, 2} over its messages, with windows of 16 rows, loses the
+// pair on every kind of message — window fetches, and lookups sent right
+// after every list's window rolled over — and every answer must hold up
+// against the naive scan: exact answers equal it, anytime ones are sound.
+TEST(DistFaultTest, PackedOwnerLossKeepsBpaSoundAtEveryKillPoint) {
+  const Database db = MakeUniformDatabase(200, 4, 41);
+  SumScorer sum;
+  const TopKQuery query{40, &sum};
+  const TopKResult truth =
+      MakeAlgorithm(AlgorithmKind::kNaive)->Execute(db, query).ValueOrDie();
+  std::vector<Score> true_score(db.num_items());
+  std::vector<Score> row(db.num_lists());
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    for (size_t j = 0; j < db.num_lists(); ++j) {
+      row[j] = db.list(j).Lookup(item).score;
+    }
+    true_score[item] = sum.Combine(row.data(), row.size());
+  }
+  DistOptions options;
+  options.window_rows = 16;
+  size_t losses = 0;
+  for (uint64_t kill = 1; kill <= 160; ++kill) {
+    SCOPED_TRACE("kill after " + std::to_string(kill) + " messages");
+    InProcessTransport inner;
+    inner.AddOwner(ListOwner(&db, {0, 2}));
+    inner.AddOwner(ListOwner(&db, {1, 3}));
+    TransportFaultPlan plan;
+    plan.kill_owner = 0;
+    plan.kill_after_messages = kill;
+    FaultInjectingTransport transport(&inner, plan);
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result = coordinator.ExecuteBpa(query).ValueOrDie();
+    losses += result.dead_lists > 0 ? 1 : 0;
+    if (result.completion == Completion::kExact) {
+      ASSERT_EQ(result.items.size(), truth.items.size());
+      for (size_t i = 0; i < truth.items.size(); ++i) {
+        EXPECT_EQ(result.items[i].item, truth.items[i].item) << "rank " << i;
+        EXPECT_EQ(result.items[i].score, truth.items[i].score);
+      }
+      continue;
+    }
+    EXPECT_EQ(result.dead_lists, 2u);
+    EXPECT_GE(result.theta, 1.0);
+    std::vector<bool> returned(db.num_items(), false);
+    for (const ResultItem& item : result.items) {
+      returned[item.item] = true;
+      EXPECT_LE(item.score, true_score[item.item] + 1e-9);
+    }
+    for (ItemId item = 0; item < db.num_items(); ++item) {
+      if (!returned[item]) {
+        EXPECT_LE(true_score[item], result.unreturned_upper_bound + 1e-9)
+            << "item " << item;
+      }
+    }
+  }
+  // A fault-free run sends owner 0 138 messages, the handshake included, so
+  // every kill point short of the last one loses the pair.
+  EXPECT_EQ(losses, 137u);
+}
+
 TEST(DistFaultTest, DegradedRunRespectsGovernorDeadline) {
   const Database db = MakeUniformDatabase(2000, 4, 29);
   SumScorer sum;
