@@ -33,7 +33,6 @@
 #ifndef TOPK_DIST_REMOTE_IO_H_
 #define TOPK_DIST_REMOTE_IO_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -71,7 +70,7 @@ struct RemoteReads {
   }
 
   AccessStats access;  // logical access counts
-  Status error;        // first malformed reply of the query (a protocol bug)
+  Status error;  // first protocol error: a malformed reply or a misread lookup
 
   std::vector<Position> window_base;  // list -> first buffered position
   std::vector<Position> window_end;   // list -> one past the last; 0 = empty
@@ -118,12 +117,7 @@ class RemoteIo {
         r_->requested[list][cursor] == item) {
       return r_->lookups[list][cursor++];
     }
-    if (r_->error.ok()) {
-      r_->error = Status::Internal("RemoteIo: read of item ", item,
-                                   " on list ", list,
-                                   " was not announced to BatchRandom");
-    }
-    return ItemLookup{MinScore(list), 1};  // every list now reads as dead
+    return Misread(list, item);
   }
 
   // --- uncounted reads ---
@@ -211,71 +205,23 @@ class RemoteIo {
     return position >= base_ && position < end_;
   }
 
+  // The RPC paths and the error path live in remote_io.cc: out of line,
+  // they keep the loops' per-row code small.
+
   /// Refills `list`'s window from row `position` (not buffered) with one
   /// `type` message (kSortedWindow, or kDrain with `threshold`) of
   /// min(window_rows, last - position + 1) rows. False when the list is dead
   /// or the reply was malformed (RemoteReads::error).
   bool Fetch(size_t list, Position position, Position last, MessageType type,
-             Score threshold) {
-    list_ = kNoList;
-    if (!SortedAlive(list)) {
-      return false;
-    }
-    RemoteReads& r = *r_;
-    r.request.type = type;
-    r.request.list_index = static_cast<uint32_t>(list);
-    r.request.start = position;
-    r.request.max_entries = static_cast<uint32_t>(
-        std::min<uint64_t>(c_->options_.window_rows, last - position + 1));
-    r.request.threshold = threshold;
-    r.request.items.clear();
-    const Status status = c_->ListRpc(list, r.request, &r.reply);
-    if (!status.ok()) {
-      // Unavailable: the whole replica group died (ListAlive turns false).
-      if (!status.IsUnavailable()) {
-        r.error = status;
-      }
-      return false;
-    }
-    if (r.window_end[list] != 0 && !r.scores_by_position[list].empty()) {
-      r.scores_by_position[list][r.window_end[list] - 1] =
-          r.window[list].back().score;  // see ScoreAt
-    }
-    r.window[list].swap(r.reply.entries);  // the next reply clears it
-    r.window_base[list] = position;
-    r.window_end[list] = position + static_cast<Position>(r.window[list].size());
-    return true;
-  }
+             Score threshold);
 
   /// Sends one kRandomLookup per live list with announced reads and keeps
   /// the replies, in request order, for Random.
-  void SendLookups() {
-    RemoteReads& r = *r_;
-    for (size_t list = 0; list < r.requested.size(); ++list) {
-      r.lookup_cursor[list] = 0;
-      r.lookups[list].clear();  // a list without replies serves no reads
-      if (r.requested[list].empty() || !SortedAlive(list)) {
-        continue;
-      }
-      r.request.type = MessageType::kRandomLookup;
-      r.request.list_index = static_cast<uint32_t>(list);
-      r.request.items.swap(r.requested[list]);
-      const Status status = c_->ListRpc(list, r.request, &r.reply);
-      r.request.items.swap(r.requested[list]);  // Random checks against it
-      if (!status.ok()) {
-        if (!status.IsUnavailable()) {
-          r.error = status;
-        }
-        continue;
-      }
-      r.lookups[list].swap(r.reply.lookups);  // the next reply clears it
-      if (!r.scores_by_position[list].empty()) {
-        for (const ItemLookup& lookup : r.lookups[list]) {
-          r.scores_by_position[list][lookup.position] = lookup.score;
-        }
-      }
-    }
-  }
+  void SendLookups();
+
+  /// Records a read the lookup batch did not hold next (Internal) and
+  /// returns a placeholder: every list now reads as dead.
+  ItemLookup Misread(size_t list, ItemId item);
 
   Coordinator* c_;
   RemoteReads* r_;
