@@ -76,27 +76,31 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   while (!stopped && depth < n) {
     ++depth;
     io.BeginRound();
-    // Batching policies (RemoteIo) fetch the row's sorted windows and send
-    // the random reads of every item the row resolves up front, one message
-    // per list; the enumeration replays the resolution decisions the row
-    // below makes. The local policies read as they go.
-    io.BatchRandom([&](auto&& add) {
-      std::vector<ItemId>& row = context->ClearedItems();
-      for (size_t i = 0; i < m; ++i) {
-        if (!io.FetchSorted(i, depth, n)) {
-          continue;
-        }
-        const ItemId item = io.PeekItem(i, depth);
-        const bool resolved_earlier =
-            memoize && (resolved->Contains(item) ||
-                        std::find(row.begin(), row.end(), item) != row.end());
-        row.push_back(item);
-        if (resolved_earlier) {
-          continue;
-        }
-        for (size_t j = 0; j < m; ++j) {
-          if (j != i) {
-            add(j, item);
+    // Batching policies (RemoteIo) send random reads a span of rows at a
+    // time: at a row no earlier span covers, they refill every live list's
+    // sorted window and send, one message per list, the random reads of
+    // every item rows depth..last resolve, `last` being the last row all
+    // live windows hold. The enumeration replays the resolution decisions
+    // the rows below make: a memo hit, or an item the span resolves at an
+    // earlier sighting, reads nothing. The local policies read as they go.
+    io.BatchSpan(depth, [&](Position last, auto&& add) {
+      if (memoize) {
+        resolved->BeginSpan();
+      }
+      for (Position row = depth; row <= last; ++row) {
+        for (size_t i = 0; i < m; ++i) {
+          if (!io.FetchSorted(i, row, n)) {
+            continue;
+          }
+          const ItemId item = io.PeekItem(i, row);
+          if (memoize &&
+              (resolved->Contains(item) || !resolved->Announce(item))) {
+            continue;
+          }
+          for (size_t j = 0; j < m; ++j) {
+            if (j != i) {
+              add(j, item);
+            }
           }
         }
       }

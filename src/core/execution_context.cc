@@ -6,15 +6,32 @@
 
 namespace topk {
 
+namespace {
+
+// Invalidates every stamp by moving to the next epoch; a wrapped epoch
+// clears the stamps once instead.
+void NextEpoch(std::vector<uint32_t>* stamps, uint32_t* epoch) {
+  if (++*epoch == 0) {
+    std::fill(stamps->begin(), stamps->end(), 0u);
+    *epoch = 1;
+  }
+}
+
+}  // namespace
+
 void ScoreMemo::Reset(size_t n) {
   if (stamps_.size() < n) {
     stamps_.resize(n, epoch_);  // grown entries start stale (== old epoch)
     scores_.resize(n, 0.0);
   }
-  if (++epoch_ == 0) {
-    std::fill(stamps_.begin(), stamps_.end(), 0u);
-    epoch_ = 1;
+  NextEpoch(&stamps_, &epoch_);
+}
+
+void ScoreMemo::BeginSpan() {
+  if (span_stamps_.size() < stamps_.size()) {
+    span_stamps_.resize(stamps_.size(), span_epoch_);  // stale, as in Reset
   }
+  NextEpoch(&span_stamps_, &span_epoch_);
 }
 
 void ExecutionContext::Prepare(const Database& db, bool audit, size_t k) {

@@ -57,10 +57,28 @@ class ScoreMemo {
     __builtin_prefetch(&scores_[item]);
   }
 
+  /// Span marks, for policies that announce BPA's random reads a span of
+  /// rows ahead (RemoteIo): an item the span already announced is resolved
+  /// by then, so it must not be announced again. BeginSpan forgets every
+  /// mark in O(1), like Reset, and sizes the marks to the memo on first use,
+  /// so runs that never announce a span never allocate them.
+  void BeginSpan();
+
+  /// Marks `item` announced in the current span; false if it already was.
+  bool Announce(ItemId item) {
+    if (span_stamps_[item] == span_epoch_) {
+      return false;
+    }
+    span_stamps_[item] = span_epoch_;
+    return true;
+  }
+
  private:
   std::vector<uint32_t> stamps_;  // stamps_[item] == epoch_ <=> entry valid
   std::vector<Score> scores_;
   uint32_t epoch_ = 0;
+  std::vector<uint32_t> span_stamps_;  // == span_epoch_ <=> announced
+  uint32_t span_epoch_ = 0;
 };
 
 /// Reusable execution state borrowed by TopKAlgorithm::Run. Not thread-safe;

@@ -38,10 +38,17 @@
 //    on to at most row `last`; DrainTo: TPUT's phase-2 scan down to
 //    `threshold`) so RemoteIo can fetch the window holding it;
 //  * batch hooks, empty on the local policies: BeginRound marks a round of
-//    the loop, and BatchRandom(enumerate) announces the random reads a loop
-//    is about to issue — enumerate(add) calls add(list, item) once per
-//    upcoming Random(list, item), in call order — so RemoteIo can send one
-//    lookup message per list;
+//    the loop; BatchRandom(enumerate) announces the random reads a loop is
+//    about to issue — enumerate(add) calls add(list, item) once per upcoming
+//    Random(list, item), in call order — so RemoteIo can send one lookup
+//    message per list; BatchSpan(row, enumerate) does the same for a row
+//    loop (BPA's), which calls it at every row: at a row no earlier call
+//    covered, the policy readies a span of rows — RemoteIo refills every
+//    live list's sorted window there — and calls enumerate(last, add), which
+//    announces the reads of rows row..last in call order, `last` being the
+//    last row every live list has ready; at the span's later rows it
+//    returns at once. Reads announced past the row where the loop stops are
+//    never issued;
 //  * stats() exposes the run's access counts so far (for the governor's
 //    budget checks) and VirtualLatencyMs() the latency to charge against its
 //    deadline (injected or RPC time; 0 on the fault-free local policies).
@@ -147,6 +154,8 @@ class LocalIo {
   void BeginRound() {}
   template <typename Enumerate>
   void BatchRandom(const Enumerate& /*enumerate*/) {}
+  template <typename Enumerate>
+  void BatchSpan(Position /*row*/, const Enumerate& /*enumerate*/) {}
   void Flush() {}
 
  protected:

@@ -67,6 +67,8 @@ struct RemoteReads;  // dist/remote_io.h
 /// any transport with at least one owner.
 struct DistOptions {
   /// Sorted-access batching: rows fetched per kSortedWindow/kDrain message.
+  /// It also spans BPA's random-access batches: the random reads of a
+  /// window's rows go out in one kRandomLookup per list (at 1, one per row).
   uint32_t window_rows = 64;
 
   /// Per-RPC deadline in virtual milliseconds: what a lost message or dead
@@ -171,9 +173,10 @@ class Coordinator {
   Score score_floor() const { return floor_; }
 
   /// Distributed BPA: the core memoized BPA loop — per-depth rows over
-  /// batched sorted windows, one lookup message per list and row, the
-  /// paper's λ (best-position) stop rule. Any scorer. The loss of a whole
-  /// replica group degrades to NRA over the survivors.
+  /// batched sorted windows, one lookup message per list and window (the
+  /// random reads of every row the window holds, sent when BPA reaches its
+  /// first row), the paper's λ (best-position) stop rule. Any scorer. The
+  /// loss of a whole replica group degrades to NRA over the survivors.
   Result<TopKResult> ExecuteBpa(const TopKQuery& query);
 
   /// Distributed TPUT: the core TPUT loop — top-k prefixes; drain to τ1/m

@@ -38,6 +38,20 @@ bool RemoteIo::Fetch(size_t list, Position position, Position last,
   return true;
 }
 
+Position RemoteIo::OpenSpan(Position row) {
+  // A list a later refill kills (a multi-list owner) still bounds the span:
+  // a shorter span is always safe, as the next row opens another.
+  Position last = static_cast<Position>(c_->n_);
+  bool live = false;
+  for (size_t list = 0; list < num_lists(); ++list) {
+    if (FetchSorted(list, row, c_->n_)) {
+      live = true;
+      last = std::min(last, r_->window_end[list] - 1);
+    }
+  }
+  return live ? last : row;
+}
+
 void RemoteIo::SendLookups() {
   RemoteReads& r = *r_;
   for (size_t list = 0; list < r.requested.size(); ++list) {

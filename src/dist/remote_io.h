@@ -12,8 +12,15 @@
 //    per window_rows rows of a list, capped at k in TPUT's phase 1;
 //  * DrainTo(list, position, threshold) does the same with kDrain, whose
 //    threshold stop runs owner-side (TPUT's phase 2);
+//  * BatchSpan(row, enumerate) opens BPA's lookup spans: at a row no span
+//    covers it refills every live list's window from that row, and the span
+//    runs to the last row all live windows hold (one row at window_rows =
+//    1). BPA announces the random reads of the whole span, and one
+//    kRandomLookup per list carries them: a lookup per list and window.
+//    Replies for rows past the one where BPA stops go unread — the same
+//    one-window speculation the sorted windows make;
 //  * BatchRandom(enumerate) collects the random reads a loop announces —
-//    BPA's row, TPUT's phase-3 survivors — and sends one kRandomLookup per
+//    a BPA span, TPUT's phase-3 survivors — and sends one kRandomLookup per
 //    list; Random() then serves the replies in request order;
 //  * BeginRound counts DistStats::rounds (a BPA row, a TPUT phase, an NRA
 //    stop-check round).
@@ -22,7 +29,9 @@
 // is (Coordinator::ListAlive). An RPC that returns Unavailable has lost the
 // whole group, and the loops' aliveness guards take over: BPA and TPUT
 // return Unavailable and the coordinator re-runs the core NRA loop over the
-// same buffers. A malformed reply is a protocol bug, not a death: it is
+// same buffers. BPA finds a group lost at a span's window refill or lookup,
+// up to a window of rows before its row loop reaches the dead list. A
+// malformed reply is a protocol bug, not a death: it is
 // recorded (RemoteReads::error), every list then reads as dead so the loop
 // winds down without sending anything more, and the query returns the error.
 //
@@ -62,6 +71,7 @@ struct RemoteReads {
     requested.resize(m);
     lookups.resize(m);
     lookup_cursor.assign(m, 0);
+    span_end = 0;
     scores_by_position.resize(m);
     for (std::vector<Score>& scores : scores_by_position) {
       // No reset: ScoreAt reads only positions this query revealed.
@@ -78,6 +88,7 @@ struct RemoteReads {
   std::vector<std::vector<ItemId>> requested;    // the announced random reads
   std::vector<std::vector<ItemLookup>> lookups;  // their replies
   std::vector<size_t> lookup_cursor;             // next reply Random serves
+  Position span_end = 0;  // one past the last row BPA's lookups announced
   std::vector<std::vector<Score>> scores_by_position;
   Request request;
   Reply reply;
@@ -172,6 +183,15 @@ class RemoteIo {
 
   void BeginRound() { ++c_->stats_.rounds; }
   template <typename Enumerate>
+  void BatchSpan(Position row, const Enumerate& enumerate) {
+    if (row < r_->span_end) {
+      return;  // announced with its span
+    }
+    const Position last = OpenSpan(row);
+    r_->span_end = last + 1;
+    BatchRandom([&](auto&& add) { enumerate(last, add); });
+  }
+  template <typename Enumerate>
   void BatchRandom(const Enumerate& enumerate) {
     for (std::vector<ItemId>& items : r_->requested) {
       items.clear();
@@ -214,6 +234,11 @@ class RemoteIo {
   /// or the reply was malformed (RemoteReads::error).
   bool Fetch(size_t list, Position position, Position last, MessageType type,
              Score threshold);
+
+  /// Refills every live list's window from `row` (where not buffered) and
+  /// returns the span's last row: the last row every refilled window holds,
+  /// or `row` itself when no list is alive.
+  Position OpenSpan(Position row);
 
   /// Sends one kRandomLookup per live list with announced reads and keeps
   /// the replies, in request order, for Random.

@@ -305,15 +305,47 @@ TEST(DistCoordinatorTest, WindowSizeDoesNotChangeAnswers) {
   narrow.window_rows = 3;
   Coordinator b(&transport, narrow);
   ASSERT_TRUE(b.Connect().ok());
+  DistOptions single;
+  single.window_rows = 1;
+  Coordinator c(&transport, single);
+  ASSERT_TRUE(c.Connect().ok());
 
-  const TopKResult wide_bpa = a.ExecuteBpa(query).ValueOrDie();
-  const TopKResult narrow_bpa = b.ExecuteBpa(query).ValueOrDie();
+  // A window also spans dBPA's lookup batch: fault-free, each list gets at
+  // most one window and one lookup per window of rows.
+  const auto run_bpa = [&](Coordinator* coordinator, uint32_t window_rows) {
+    const TopKResult result = coordinator->ExecuteBpa(query).ValueOrDie();
+    const uint64_t windows =
+        (result.stop_position + window_rows - 1) / window_rows;
+    EXPECT_LE(coordinator->stats().messages_sent,
+              2 * db.num_lists() * windows)
+        << "window_rows = " << window_rows;
+    return result;
+  };
+  // Answers, access counts and stop rows do not depend on the window.
+  const auto expect_same = [](const TopKResult& got, const TopKResult& want) {
+    ASSERT_EQ(got.items.size(), want.items.size());
+    for (size_t i = 0; i < want.items.size(); ++i) {
+      EXPECT_EQ(got.items[i].item, want.items[i].item) << "rank " << i;
+      EXPECT_EQ(got.items[i].score, want.items[i].score) << "rank " << i;
+    }
+    EXPECT_EQ(got.stats.sorted_accesses, want.stats.sorted_accesses);
+    EXPECT_EQ(got.stats.random_accesses, want.stats.random_accesses);
+    EXPECT_EQ(got.stop_position, want.stop_position);
+  };
+
+  const TopKResult wide_bpa = run_bpa(&a, wide.window_rows);
+  const TopKResult narrow_bpa = run_bpa(&b, narrow.window_rows);
   ASSERT_EQ(wide_bpa.items.size(), narrow_bpa.items.size());
   for (size_t i = 0; i < wide_bpa.items.size(); ++i) {
     EXPECT_EQ(wide_bpa.items[i].item, narrow_bpa.items[i].item);
     EXPECT_DOUBLE_EQ(wide_bpa.items[i].score, narrow_bpa.items[i].score);
   }
   EXPECT_EQ(wide_bpa.stats.sorted_accesses, narrow_bpa.stats.sorted_accesses);
+  const TopKResult single_bpa = run_bpa(&c, single.window_rows);
+  for (const TopKResult* other : {&narrow_bpa, &single_bpa}) {
+    expect_same(*other, wide_bpa);
+    EXPECT_EQ(other->min_best_position, wide_bpa.min_best_position);
+  }
 
   const TopKResult wide_tput = a.ExecuteTput(query).ValueOrDie();
   const TopKResult narrow_tput = b.ExecuteTput(query).ValueOrDie();
@@ -325,6 +357,10 @@ TEST(DistCoordinatorTest, WindowSizeDoesNotChangeAnswers) {
   // Narrower windows cost more messages for the same logical accesses.
   EXPECT_EQ(wide_tput.stats.sorted_accesses,
             narrow_tput.stats.sorted_accesses);
+  const TopKResult single_tput = c.ExecuteTput(query).ValueOrDie();
+  for (const TopKResult* other : {&narrow_tput, &single_tput}) {
+    expect_same(*other, wide_tput);
+  }
 }
 
 TEST(DistCoordinatorTest, MultiListOwnersMatchPerListOwners) {
@@ -524,7 +560,13 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
     plan.kill_owner = 2;
     plan.kill_after_messages = 6;
     FaultInjectingTransport transport(&inner, plan);
-    Coordinator coordinator(&transport, DistOptions{});
+    DistOptions options;
+    if (!tput) {
+      // dBPA sends a list one window and one lookup per window; 16-row
+      // windows run the budget out three windows in.
+      options.window_rows = 16;
+    }
+    Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     // Connect's handshake consumed some of owner 2's message budget; the
     // query's early windows exhaust the rest.
@@ -563,11 +605,32 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
   }
 }
 
+// Counts the messages each owner of `inner` receives.
+class CountingTransport final : public Transport {
+ public:
+  explicit CountingTransport(Transport* inner)
+      : inner_(inner), calls_(inner->num_owners(), 0) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    ++calls_[owner];
+    return inner_->Call(owner, request, reply, result);
+  }
+
+  uint64_t calls(size_t owner) const { return calls_[owner]; }
+
+ private:
+  Transport* inner_;
+  std::vector<uint64_t> calls_;
+};
+
 // Multi-list owners lose several lists at once. Sweeping the kill point of a
 // packed owner {0, 2} over its messages, with windows of 16 rows, loses the
-// pair on every kind of message — window fetches, and lookups sent right
-// after every list's window rolled over — and every answer must hold up
-// against the naive scan: exact answers equal it, anytime ones are sound.
+// pair on every kind of message — window fetches, and the span lookups sent
+// right after every list's window rolled over — and every answer must hold
+// up against the naive scan: exact answers equal it, anytime ones are sound.
 TEST(DistFaultTest, PackedOwnerLossKeepsBpaSoundAtEveryKillPoint) {
   const Database db = MakeUniformDatabase(200, 4, 41);
   SumScorer sum;
@@ -584,8 +647,21 @@ TEST(DistFaultTest, PackedOwnerLossKeepsBpaSoundAtEveryKillPoint) {
   }
   DistOptions options;
   options.window_rows = 16;
+  // The sweep's range: every message a fault-free run sends owner 0, the
+  // handshake included.
+  uint64_t owner_messages = 0;
+  {
+    InProcessTransport inner;
+    inner.AddOwner(ListOwner(&db, {0, 2}));
+    inner.AddOwner(ListOwner(&db, {1, 3}));
+    CountingTransport counting(&inner);
+    Coordinator coordinator(&counting, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    ASSERT_TRUE(coordinator.ExecuteBpa(query).ok());
+    owner_messages = counting.calls(0);
+  }
   size_t losses = 0;
-  for (uint64_t kill = 1; kill <= 160; ++kill) {
+  for (uint64_t kill = 1; kill <= owner_messages; ++kill) {
     SCOPED_TRACE("kill after " + std::to_string(kill) + " messages");
     InProcessTransport inner;
     inner.AddOwner(ListOwner(&db, {0, 2}));
@@ -620,9 +696,8 @@ TEST(DistFaultTest, PackedOwnerLossKeepsBpaSoundAtEveryKillPoint) {
       }
     }
   }
-  // A fault-free run sends owner 0 138 messages, the handshake included, so
-  // every kill point short of the last one loses the pair.
-  EXPECT_EQ(losses, 137u);
+  // Every kill point short of the last message loses the pair.
+  EXPECT_EQ(losses, owner_messages - 1);
 }
 
 TEST(DistFaultTest, DegradedRunRespectsGovernorDeadline) {
@@ -847,6 +922,9 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
     DistOptions options;
     options.replication_factor = 2;
     options.governor.deadline_ms = 400.0;
+    // A window and a lookup per list and 16 rows: traffic enough for the
+    // owners' death windows.
+    options.window_rows = 16;
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     *result = coordinator.ExecuteBpa(query).ValueOrDie();
@@ -856,6 +934,10 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   DistStats first, second;
   run(&first_result, &first);
   run(&second_result, &second);
+  // The deadline adds real elapsed time, so a run it stopped would stop at a
+  // host-speed-dependent row; the plan must finish well inside it.
+  EXPECT_NE(first_result.completion, Completion::kDeadline);
+  EXPECT_NE(second_result.completion, Completion::kDeadline);
 
   ASSERT_EQ(first_result.items.size(), second_result.items.size());
   for (size_t i = 0; i < first_result.items.size(); ++i) {
@@ -903,7 +985,10 @@ void ExpectSameDistStats(const DistStats& got, const DistStats& want) {
 // cannot see a change in WHICH attempts hedge, retry or fail over; these
 // values were captured once and must not move when the coordinator's hot
 // path is reworked. The plan makes every rung fire on both engines: retries,
-// hedges and hedge wins, breaker opens, probes and replica failovers.
+// hedges and hedge wins, breaker opens, probes and replica failovers. dBPA
+// runs 10-row windows, dTPUT 16-row ones: dBPA sends a window and a lookup
+// per list and window, so its narrower windows give the flapping replicas
+// enough traffic for every rung.
 TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
   const Database db = MakeUniformDatabase(1000, 4, 41);
   SumScorer sum;
@@ -938,22 +1023,22 @@ TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
   };
   const Pinned pinned[] = {
       {false, 744, 1719,
-       DistStats{.messages_sent = 890,
-                 .replies_received = 876,
-                 .bytes_sent = 22172,
-                 .bytes_received = 47604,
+       DistStats{.messages_sent = 187,
+                 .replies_received = 180,
+                 .bytes_sent = 11228,
+                 .bytes_received = 37824,
                  .rounds = 186,
-                 .retries = 76,
-                 .hedges = 32,
-                 .hedge_wins = 27,
-                 .duplicate_replies = 101,
-                 .timeouts = 83,
+                 .retries = 8,
+                 .hedges = 22,
+                 .hedge_wins = 20,
+                 .duplicate_replies = 26,
+                 .timeouts = 11,
                  .owner_deaths = 0,
-                 .replica_failovers = 5,
-                 .breaker_opens = 8,
-                 .probes_sent = 8,
+                 .replica_failovers = 2,
+                 .breaker_opens = 4,
+                 .probes_sent = 4,
                  .groups_lost = 0,
-                 .virtual_ms = 876.61975171860968}},
+                 .virtual_ms = 147.34979014682511}},
       {true, 2978, 0,
        DistStats{.messages_sent = 229,
                  .replies_received = 222,
@@ -979,7 +1064,7 @@ TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
     options.replication_factor = 2;
-    options.window_rows = 16;
+    options.window_rows = want.tput ? 16 : 10;
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const TopKResult result = (want.tput ? coordinator.ExecuteTput(query)
@@ -995,6 +1080,14 @@ TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
     EXPECT_EQ(result.stats.sorted_accesses, want.sorted_accesses);
     EXPECT_EQ(result.stats.random_accesses, want.random_accesses);
     ExpectSameDistStats(coordinator.stats(), want.stats);
+    // Every rung fired.
+    const DistStats& stats = coordinator.stats();
+    EXPECT_GT(stats.retries, 0u);
+    EXPECT_GT(stats.hedges, 0u);
+    EXPECT_GT(stats.hedge_wins, 0u);
+    EXPECT_GT(stats.breaker_opens, 0u);
+    EXPECT_GT(stats.probes_sent, 0u);
+    EXPECT_GT(stats.replica_failovers, 0u);
   }
 }
 
@@ -1002,7 +1095,8 @@ TEST(DistReplicaTest, FaultedLadderCountersArePinned) {
 // answer, access counts and every DistStats field of both engines at R = 1,
 // on per-list owners and on multi-list owners (lists {0, 2} and {1, 3}).
 // window_rows = 16 with k = 50 makes TPUT's phase 1 span four windows
-// (16 + 16 + 16 + 2 rows) and its drains cross window edges. Values were
+// (16 + 16 + 16 + 2 rows) and its drains cross window edges, and BPA's 256
+// rows take 16 spans: per list, 16 windows and 16 lookups. Values were
 // captured once; a change in the message sequence moves them.
 TEST_F(DistParityTest, FaultFreeWireCountsArePinned) {
   const Database db = MakeUniformDatabase(1000, 4, 41);
@@ -1042,12 +1136,12 @@ TEST_F(DistParityTest, FaultFreeWireCountsArePinned) {
   };
   const Pinned pinned[] = {
       {false, 1024, 2103,
-       DistStats{.messages_sent = 1024,
-                 .replies_received = 1024,
-                 .bytes_sent = 24796,
-                 .bytes_received = 53908,
+       DistStats{.messages_sent = 128,
+                 .replies_received = 128,
+                 .bytes_sent = 10460,
+                 .bytes_received = 39572,
                  .rounds = 256,
-                 .virtual_ms = 51.199999999999228}},
+                 .virtual_ms = 6.3999999999999853}},
       {true, 2987, 4,
        DistStats{.messages_sent = 194,
                  .replies_received = 194,
@@ -1105,6 +1199,11 @@ TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
     options.replication_factor = 2;
+    if (!tput) {
+      // dBPA sends a list one window and one lookup per window; 16-row
+      // windows run both replicas' budgets out inside the query.
+      options.window_rows = 16;
+    }
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const TopKResult result =
@@ -1158,6 +1257,10 @@ TEST(DistContractTest, StrictModeRejectsALostGroup) {
     DistOptions options;
     options.replication_factor = 2;
     options.governor.strict = true;
+    if (!tput) {
+      // 16-row windows, as in WholeGroupDeathDegradesToCertifiedAnswer.
+      options.window_rows = 16;
+    }
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const Result<TopKResult> run =

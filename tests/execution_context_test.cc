@@ -138,6 +138,24 @@ TEST(ScoreMemoTest, ResetForgetsEntriesInConstantTime) {
   EXPECT_TRUE(memo.Contains(199));
 }
 
+TEST(ScoreMemoTest, SpanMarksLastOneSpan) {
+  ScoreMemo memo;
+  memo.Reset(8);
+  memo.BeginSpan();
+  EXPECT_TRUE(memo.Announce(3));
+  EXPECT_FALSE(memo.Announce(3));
+  EXPECT_TRUE(memo.Announce(7));
+  EXPECT_FALSE(memo.Contains(3));  // announced is not resolved
+  memo.BeginSpan();
+  EXPECT_TRUE(memo.Announce(3));
+  // Growth keeps the marks sized to the memo, grown entries unmarked.
+  memo.Reset(16);
+  memo.BeginSpan();
+  EXPECT_TRUE(memo.Announce(3));
+  EXPECT_TRUE(memo.Announce(15));
+  EXPECT_FALSE(memo.Announce(15));
+}
+
 TEST(ScoreMemoTest, ManyResetCyclesStayCorrect) {
   ScoreMemo memo;
   for (uint32_t cycle = 0; cycle < 1000; ++cycle) {

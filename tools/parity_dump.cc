@@ -27,7 +27,7 @@
 // Ad-hoc workloads dump summation scoring only (the min-scorer fallback
 // sweeps the whole pool per stop check — prohibitive at large n).
 //
-// --algos=<csv of nra,ca,tput,bpa,dbpa,dtput> restricts which algorithms are
+// --algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput> restricts which algorithms are
 // dumped — an ad-hoc DRAM-scale fingerprint of one algorithm under test need
 // not pay for the other deep scanners (CA alone at n=1M costs seconds; all
 // three cost tens). It composes with either mode and does not by itself
@@ -36,9 +36,10 @@
 //
 // dbpa/dtput run distributed BPA/TPUT through a Coordinator over per-list
 // in-process ListOwner shards; bpa is single-node BPA with seen-item
-// memoization (the access-count twin of the batched distributed rows). The
-// distributed engines' fingerprints match their single-node counterparts
-// field for field, so the certification diff is just a name rewrite:
+// memoization (the access-count twin of dbpa's batched lookups), and ta is
+// single-node TA, which runs on BPA's loop. The distributed engines'
+// fingerprints match their single-node counterparts field for field, so
+// the certification diff is just a name rewrite:
 //
 //   diff <(./build/parity_dump --algos=bpa) \
 //        <(./build/parity_dump --algos=dbpa | sed s/dBPA/BPA/)
@@ -56,6 +57,16 @@
 //   diff <(./build/parity_dump --algos=dbpa,dtput) \
 //        <(./build/parity_dump --algos=dbpa,dtput --replicas=2)
 //
+// --window-rows=<w> (default 64) sets the distributed engines' window size:
+// rows per sorted window, and with it the rows whose random reads dBPA
+// sends in one lookup message per list. Answers and access counts do not
+// depend on it, so the certification diffs above hold at any w; w = 1 makes
+// every row its own span, and w = 7 ends spans off the default's 64-row
+// boundaries:
+//
+//   ./build/parity_dump --algos=dbpa --window-rows=7 | sed s/dBPA/BPA/ |
+//       diff <(./build/parity_dump --algos=bpa) -
+//
 // --governor=off|<spec> arms the query governor for every dumped execution.
 // `off` (the default) keeps the historical byte-identical output. A <spec>
 // is comma-separated key=value pairs over deadline-ms, sorted, random,
@@ -66,6 +77,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -88,7 +100,7 @@ namespace {
 // One dumpable engine: a single-node algorithm, or a distributed one run
 // through a Coordinator over per-list in-process ListOwner shards. The
 // single-node bpa entry memoizes seen items so its access counts are the
-// exact twin of dbpa's batched row resolution.
+// exact twin of dbpa's batched resolution.
 struct DumpAlgo {
   const char* token;   // --algos flag token
   const char* label;   // printed fingerprint name (historical bytes)
@@ -101,6 +113,7 @@ constexpr DumpAlgo kDumpAlgos[] = {
     {"ca", "CA", AlgorithmKind::kCa, false},
     {"tput", "TPUT", AlgorithmKind::kTput, false},
     {"bpa", "BPA", AlgorithmKind::kBpa, false},
+    {"ta", "TA", AlgorithmKind::kTa, false},
     {"dbpa", "dBPA", AlgorithmKind::kBpa, true},
     {"dtput", "dTPUT", AlgorithmKind::kTput, true},
 };
@@ -119,6 +132,9 @@ GovernorLimits g_governor;
 // the unreplicated PR 8 topology; fault-free dumps are byte-identical at
 // any value.
 size_t g_replicas = 1;
+
+// Rows per window of the distributed engines (--window-rows).
+uint32_t g_window_rows = DistOptions{}.window_rows;
 
 // Parses a --governor value: "off" or comma-separated key=value pairs
 // (deadline-ms, sorted, random, total, pool-bytes).
@@ -219,6 +235,7 @@ Result<TopKResult> RunDist(AlgorithmKind kind, const Database& db, size_t k,
   DistOptions options;
   options.governor = g_governor;
   options.replication_factor = static_cast<uint32_t>(g_replicas);
+  options.window_rows = g_window_rows;
   Coordinator coordinator(&transport, options);
   TOPK_RETURN_NOT_OK(coordinator.Connect());
   const TopKQuery query{k, &scorer};
@@ -406,6 +423,14 @@ int main(int argc, char** argv) {
       ok &= topk::ParseFlagSize(v, &topk::g_replicas) && topk::g_replicas >= 1;
       continue;
     }
+    if (const char* v = value_of(arg, "--window-rows", &i)) {
+      // Resizes the distributed engines' windows and lookup spans; like
+      // --replicas it leaves every fingerprint unchanged.
+      uint64_t rows = 0;
+      ok &= topk::ParseFlagU64(v, &rows) && rows >= 1 && rows <= UINT32_MAX;
+      topk::g_window_rows = static_cast<uint32_t>(rows);
+      continue;
+    }
     if (const char* v = value_of(arg, "--n", &i)) {
       ok &= topk::ParseFlagSize(v, &config.n);
     } else if (const char* v = value_of(arg, "--m", &i)) {
@@ -429,8 +454,9 @@ int main(int argc, char** argv) {
                  "usage: parity_dump [--n=<items>] [--m=<lists>]"
                  " [--k=<answers>] [--seed=<rng>]"
                  " [--dist={uniform,gaussian,correlated,zipf}]"
-                 " [--algos=<csv of nra,ca,tput,bpa,dbpa,dtput>]"
-                 " [--governor=off|<key=value,...>] [--replicas=<R>]\n"
+                 " [--algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput>]"
+                 " [--governor=off|<key=value,...>] [--replicas=<R>]"
+                 " [--window-rows=<w>]\n"
                  "governor keys: deadline-ms sorted random total pool-bytes\n"
                  "with no workload flags, dumps the built-in grid\n");
     return 1;
