@@ -17,11 +17,10 @@ namespace {
 // Templated like BPA's loop (see bpa_algorithm.cc): the default
 // configuration devirtualizes and inlines all per-access work.
 template <typename IoT, typename TrackerT, typename ScorerT>
-Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
-                   const TopKQuery& query, ExecutionContext* context, IoT io,
-                   TopKResult* result) {
-  const size_t n = db.num_items();
-  const size_t m = db.num_lists();
+Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
+                   ExecutionContext* context, IoT io, TopKResult* result) {
+  const size_t n = io.num_items();
+  const size_t m = io.num_lists();
   const ScorerT& scorer = static_cast<const ScorerT&>(*query.scorer);
 
   TopKBuffer& buffer = context->buffer();
@@ -57,7 +56,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
     for (size_t i = 0; i < m; ++i) {
       const Position bp = tracker(i).best_position();
       if (bp < n) {
-        PrefetchSortedEntry(db.list(i), bp + 1);
+        io.PrefetchEntry(i, bp + 1);
       }
     }
     for (size_t i = 0; i < m; ++i) {
@@ -88,7 +87,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
       const AccessedEntry entry = io.Direct(i, bp + 1);
       // Request the revealed item's mirror row before the tracker walks its
       // seen bits: MarkSeen's best-position advance overlaps the row fetch.
-      PrefetchItemRows(db, entry.item, m);
+      io.PrefetchRow(entry.item);
       tracker(i).MarkSeen(entry.position);
       any_access = true;
       Score overall;
@@ -142,7 +141,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
     if (signature != bp_signature) {
       bp_signature = signature;
       for (size_t i = 0; i < m; ++i) {
-        local[i] = db.list(i).ScoreAtPosition(tracker(i).best_position());
+        local[i] = io.ScoreAt(i, tracker(i).best_position());
       }
       lambda = scorer.Combine(local.data(), m);
     }
@@ -190,20 +189,19 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
 }
 
 template <typename IoT>
-Status DispatchBpa2(const AlgorithmOptions& options, const Database& db,
-                    const TopKQuery& query, ExecutionContext* context, IoT io,
-                    TopKResult* result) {
+Status DispatchBpa2(const AlgorithmOptions& options, const TopKQuery& query,
+                    ExecutionContext* context, IoT io, TopKResult* result) {
   const bool sum = dynamic_cast<const SumScorer*>(query.scorer) != nullptr;
   if (options.tracker == TrackerKind::kBitArray) {
     return sum ? RunBpa2Loop<IoT, BitArrayTracker, SumScorer>(
-                     options, db, query, context, io, result)
+                     options, query, context, io, result)
                : RunBpa2Loop<IoT, BitArrayTracker, Scorer>(
-                     options, db, query, context, io, result);
+                     options, query, context, io, result);
   }
   return sum ? RunBpa2Loop<IoT, BestPositionTracker, SumScorer>(
-                   options, db, query, context, io, result)
+                   options, query, context, io, result)
              : RunBpa2Loop<IoT, BestPositionTracker, Scorer>(
-                   options, db, query, context, io, result);
+                   options, query, context, io, result);
 }
 
 }  // namespace
@@ -213,7 +211,7 @@ Status Bpa2Algorithm::Run(const Database& db, const TopKQuery& query,
                           TopKResult* result) const {
   context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
   return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
-    return DispatchBpa2(options(), db, query, context, io, result);
+    return DispatchBpa2(options(), query, context, io, result);
   });
 }
 

@@ -25,11 +25,10 @@ namespace {
 // order-independent. Non-summation scorers fall back to the per-candidate
 // sweeps (their bounds do not decompose per mask).
 template <typename IoT, typename ScorerT>
-Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
-                 const TopKQuery& query, ExecutionContext* context, IoT io,
-                 TopKResult* result) {
-  const size_t n = db.num_items();
-  const size_t m = db.num_lists();
+Status RunCaLoop(const AlgorithmOptions& options, const TopKQuery& query,
+                 ExecutionContext* context, IoT io, TopKResult* result) {
+  const size_t n = io.num_items();
+  const size_t m = io.num_lists();
   const ScorerT& scorer = static_cast<const ScorerT&>(*query.scorer);
 
   const CostModel model =
@@ -52,7 +51,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
     // Sound cursor bounds even for a list dead before its first read (see
     // nra_loop.h; defensive here — CA is never the failover target).
     for (size_t i = 0; i < m; ++i) {
-      last_scores[i] = db.list(i).MaxScore();
+      last_scores[i] = io.MaxScore(i);
     }
   }
   std::vector<Score>& tmp = context->bound_scores();
@@ -101,7 +100,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
         // Probe-cell prefetch pipelining — uncounted, decision-free; see
         // nra_loop.h.
         if (d + kPrefetchRowsAhead <= n) {
-          pool.PrefetchItem(db.list(i).items()[d - 1 + kPrefetchRowsAhead]);
+          pool.PrefetchItem(io.PeekItem(i, d + kPrefetchRowsAhead));
         }
         const AccessedEntry entry = io.Sorted(i, d);
         last_scores[i] = entry.score;
@@ -239,13 +238,12 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
 }
 
 template <typename IoT>
-Status DispatchCa(const AlgorithmOptions& options, const Database& db,
-                  const TopKQuery& query, ExecutionContext* context, IoT io,
-                  TopKResult* result) {
+Status DispatchCa(const AlgorithmOptions& options, const TopKQuery& query,
+                  ExecutionContext* context, IoT io, TopKResult* result) {
   if (dynamic_cast<const SumScorer*>(query.scorer) != nullptr) {
-    return RunCaLoop<IoT, SumScorer>(options, db, query, context, io, result);
+    return RunCaLoop<IoT, SumScorer>(options, query, context, io, result);
   }
-  return RunCaLoop<IoT, Scorer>(options, db, query, context, io, result);
+  return RunCaLoop<IoT, Scorer>(options, query, context, io, result);
 }
 
 }  // namespace
@@ -259,7 +257,7 @@ Status CaAlgorithm::ValidateFor(const Database& db,
 Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
   return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
-    return DispatchCa(options(), db, query, context, io, result);
+    return DispatchCa(options(), query, context, io, result);
   });
 }
 

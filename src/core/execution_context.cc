@@ -35,7 +35,7 @@ void ScoreMemo::BeginSpan() {
 }
 
 void ExecutionContext::Prepare(const Database& db, bool audit, size_t k) {
-  engine_.Reset(db, audit);
+  engine_.Reset(db.num_lists(), db.num_items(), audit);
   Prepare(db.num_lists(), k);
 }
 

@@ -91,18 +91,18 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Called by TopKAlgorithm::ExecuteInto before Run: rebinds the access
-  /// engine, resets the top-k buffer to `k` and zero-fills the per-list score
-  /// scratch. Tracker/memo/matrix scratch is prepared lazily by the
-  /// algorithms that need it.
+  /// Called by TopKAlgorithm::ExecuteInto before Run: resets the access
+  /// counts (and sizes the audit trail when `audit`), resets the top-k buffer
+  /// to `k` and zero-fills the per-list score scratch. Tracker/memo/matrix
+  /// scratch is prepared lazily by the algorithms that need it.
   void Prepare(const Database& db, bool audit, size_t k);
 
   /// Prepare for a run whose m lists are not in a local Database — the
   /// distributed coordinator reads them through RemoteIo. Resets the buffer
-  /// and the per-list scratch; engine() stays unbound and unused.
+  /// and the per-list scratch; engine() stays unused.
   void Prepare(size_t m, size_t k);
 
-  /// The counted access layer, bound to the database of the last Prepare.
+  /// The run's access counts and audit trail, reset by the last Prepare.
   AccessEngine& engine() { return engine_; }
 
   /// The paper's set Y, reset to the k of the last Prepare.
@@ -113,7 +113,7 @@ class ExecutionContext {
   /// the context may RequestCancel() on it from another thread.
   QueryGovernor& governor() { return governor_; }
 
-  /// The fault-injection decorator over engine(). Armed by ExecuteInto when
+  /// The fault schedule the FaultIo policy rolls. Armed by ExecuteInto when
   /// AlgorithmOptions::fault_plan is enabled; stays armed across an
   /// in-flight NRA failover so dead lists stay dead and the deterministic
   /// schedule continues.

@@ -12,15 +12,13 @@
 namespace topk {
 namespace {
 
-// Templated on the access policy: EngineIo is the default (FA leans on the
-// engine's sorted cursors), FaultIo when a fault plan is armed. The loops'
-// aliveness guards are `if constexpr`-eliminated for the fault-free policy.
+// Templated on the access policy (core/list_io.h). The loop's aliveness
+// guards are `if constexpr`-eliminated for the fault-free policies.
 template <typename IoT>
-Status RunFaLoop(const AlgorithmOptions& /*options*/, const Database& db,
-                 const TopKQuery& query, ExecutionContext* context, IoT io,
+Status RunFaLoop(const TopKQuery& query, ExecutionContext* context, IoT io,
                  TopKResult* result) {
-  const size_t n = db.num_items();
-  const size_t m = db.num_lists();
+  const size_t n = io.num_items();
+  const size_t m = io.num_lists();
 
   // Phase 1: sorted access in parallel until >= k items are seen in all lists.
   // seen_lists[d] counts the lists where d was seen under sorted access;
@@ -32,7 +30,7 @@ Status RunFaLoop(const AlgorithmOptions& /*options*/, const Database& db,
   for (size_t i = 0; i < m; ++i) {
     // Cursor-score bound for lists a fault kills before their first read (an
     // uncounted, decision-free metadata read; overwritten by every access).
-    last_scores[i] = db.list(i).MaxScore();
+    last_scores[i] = io.MaxScore(i);
   }
 
   QueryGovernor& governor = context->governor();
@@ -205,12 +203,9 @@ Status RunFaLoop(const AlgorithmOptions& /*options*/, const Database& db,
 
 Status FaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
-  if (context->faults().armed()) {
-    return RunFaLoop(options(), db, query, context,
-                     FaultIo(&context->faults()), result);
-  }
-  return RunFaLoop(options(), db, query, context, EngineIo(&context->engine()),
-                   result);
+  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return RunFaLoop(query, context, io, result);
+  });
 }
 
 }  // namespace topk

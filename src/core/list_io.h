@@ -1,26 +1,26 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // Access policies: the template argument through which every algorithm run
-// loop reads its lists. The BPA (also TA's), TPUT and NRA loops touch lists
-// only through their policy, so one loop serves every backend (BPA2, CA and
-// FA still take their uncounted metadata and prefetch reads from the
-// Database). Four policies exist:
+// loop reads its lists. Every loop touches lists only through its policy, so
+// one loop serves every backend. Two read paths exist:
 //
-//  * EngineIo routes every access through the AccessEngine — per-access
-//    cursors, counters and the optional audit trail. Required whenever the
-//    access pattern itself is observed (audit mode) or the engine's cursor
-//    state matters.
-//  * RawListIo reads the sorted lists directly and counts accesses into a
-//    stack-resident AccessStats that is flushed into the engine once at the
-//    end of the run. The counts are identical to EngineIo's by construction
-//    (one increment per primitive call); what disappears is the per-access
-//    read-modify-write traffic through the shared engine object, which the
-//    optimizer cannot keep in registers. Only valid with audit mode off.
-//  * FaultIo routes every access through the FaultInjectingAccessEngine
-//    decorator, whose lists can die: it reports kFaultAware = true, so the
-//    loops' aliveness guards compile in. On the two policies above those
-//    guards are `if constexpr`-eliminated — fault-free instantiations keep
-//    byte-identical behaviour and codegen shape.
+//  * RawListIo is the one local read path, in three flavours. Sorted and
+//    direct reads go to the sorted arrays at the position the loop passes
+//    (the loops know their depth, so no cursor state is kept), random reads
+//    to the Database's item-major mirror, and every read is counted into a
+//    stack-resident AccessStats that is stored into the AccessEngine once at
+//    the end of the run. Keeping the per-access counter updates out of the
+//    shared engine object lets the optimizer keep them in registers.
+//      - RawListIo<> is the plain flavour: every fault-free, unaudited run
+//        reads through it.
+//      - AuditIo (RawListIo<true>) also records each read's touch in the
+//        engine's audit trail (audit mode).
+//      - FaultIo is RawListIo<> that rolls the context's fault schedule
+//        (lists/fault_injection.h) before each read. Its lists can die: it
+//        reports kFaultAware = true, so the loops' aliveness guards compile
+//        in. On the other two flavours those guards are
+//        `if constexpr`-eliminated — fault-free instantiations keep
+//        byte-identical behaviour and codegen shape.
 //  * RemoteIo (dist/remote_io.h) reads from remote list owners through the
 //    distributed coordinator's RPC failover ladder. It is fault-aware too: a
 //    list dies with its whole replica group.
@@ -30,8 +30,9 @@
 //  * shape and catalog: num_items(), num_lists(), MaxScore(i), MinScore(i);
 //  * uncounted reads — metadata and decision-free peeks that are not list
 //    accesses in the paper's model: ScoreAt (a position already seen, BPA's
-//    λ), ExactScore (NRA's winner report), PeekItem/PrefetchRow/
-//    MirrorBytes/PositionsRow (prefetch hints);
+//    and BPA2's λ), ExactScore (NRA's winner report), PeekItem/PrefetchRow/
+//    MirrorBytes/PositionsRow (prefetch hints; PrefetchEntry, BPA2's, is
+//    local only);
 //  * fault-aware guards, called only under `if constexpr (kFaultAware)`:
 //    SortedAlive/RandomAlive/DeadLists, plus FetchSorted and DrainTo, which
 //    say which row a scan reads next (FetchSorted: a plain scan that reads
@@ -52,6 +53,8 @@
 //  * stats() exposes the run's access counts so far (for the governor's
 //    budget checks) and VirtualLatencyMs() the latency to charge against its
 //    deadline (injected or RPC time; 0 on the fault-free local policies).
+//    A local policy starts from the counts the engine holds, so an NRA
+//    failover's budget checks still count what the failed run spent.
 
 #ifndef TOPK_CORE_LIST_IO_H_
 #define TOPK_CORE_LIST_IO_H_
@@ -64,25 +67,6 @@
 #include "lists/types.h"
 
 namespace topk {
-
-/// Pulls `item`'s interleaved item-major mirror row (m scores + m positions,
-/// one contiguous region) toward the cache. The TA/BPA row loops issue this
-/// kPrefetchRowsAhead sorted rows ahead of use — the upcoming sorted items
-/// are known (list prefixes are sequential), so the row's DRAM latency is
-/// overlapped with the processing of the rows in between instead of being
-/// paid serially on every random access. Rows are stride-aligned (see
-/// Database), so a row touches exactly ceil(12m/64) lines: one prefetch per
-/// line, one line total for m <= 5.
-inline void PrefetchItemRows(const Database& db, ItemId item, size_t m) {
-  const char* row = reinterpret_cast<const char*>(db.ItemScoresRow(item));
-  const size_t bytes = Database::ItemRowPayloadBytes(m);
-  for (size_t offset = 0;; offset += 64) {
-    __builtin_prefetch(row + offset);
-    if (offset + 64 >= bytes) {
-      break;
-    }
-  }
-}
 
 /// How many sorted rows ahead the TA/BPA loops prefetch the item-major
 /// mirror row (and the memo entry, when memoization is on). Between issuing
@@ -99,18 +83,6 @@ inline constexpr Position kPrefetchRowsAhead = 8;
 /// the tracker words those positions will mark get their own prefetch two
 /// rows of work ahead of the marks.
 inline constexpr Position kPrefetchMarksAhead = 2;
-
-/// Pulls one sorted-order entry (item id + score, two parallel arrays)
-/// toward the cache. BPA2 issues this speculatively at the top of a round
-/// for every list's current bp + 1 — a random access earlier in the round
-/// may advance bp and waste the prefetch, but a wasted prefetch costs
-/// nothing observable while a hit hides the direct access's DRAM latency
-/// (BPA2's direct accesses jump with bp, so the hardware stream prefetcher
-/// does not cover them the way it covers TA/BPA's sequential scans).
-inline void PrefetchSortedEntry(const SortedList& list, Position position) {
-  __builtin_prefetch(&list.items()[position - 1]);
-  __builtin_prefetch(&list.scores()[position - 1]);
-}
 
 /// The local policies' shared half: their lists live in a Database, so the
 /// shape, the catalog and every uncounted read are plain loads, and the batch
@@ -131,12 +103,41 @@ class LocalIo {
     return db_->list(list).ScoreAtPosition(position);
   }
   Score ExactScore(size_t list, ItemId item) const {
-    return db_->list(list).ScoreOf(item);
+    return db_->ScoreOf(list, item);
   }
   ItemId PeekItem(size_t list, Position position) const {
     return db_->list(list).items()[position - 1];
   }
-  void PrefetchRow(ItemId item) const { PrefetchItemRows(*db_, item, m_); }
+  /// Pulls `item`'s interleaved item-major mirror row (m scores + m
+  /// positions, one contiguous region) toward the cache. The TA/BPA row
+  /// loops issue this kPrefetchRowsAhead sorted rows ahead of use — the
+  /// upcoming sorted items are known (list prefixes are sequential), so the
+  /// row's DRAM latency is overlapped with the processing of the rows in
+  /// between instead of being paid serially on every random access; BPA2
+  /// issues it for a revealed item before marking its position. Rows are
+  /// stride-aligned (see Database), so a row touches exactly ceil(12m/64)
+  /// lines: one prefetch per line, one line total for m <= 5.
+  void PrefetchRow(ItemId item) const {
+    const char* row = reinterpret_cast<const char*>(db_->ItemScoresRow(item));
+    const size_t bytes = Database::ItemRowPayloadBytes(m_);
+    for (size_t offset = 0;; offset += 64) {
+      __builtin_prefetch(row + offset);
+      if (offset + 64 >= bytes) {
+        break;
+      }
+    }
+  }
+  /// Pulls one sorted-order entry (item id + score, two parallel arrays)
+  /// toward the cache. BPA2 issues this speculatively at the top of a round
+  /// for every list's current bp + 1 — a random access earlier in the round
+  /// may advance bp and waste the prefetch, but a wasted prefetch costs
+  /// nothing observable while a hit hides the direct access's DRAM latency
+  /// (BPA2's direct accesses jump with bp, so the hardware stream prefetcher
+  /// does not cover them the way it covers TA/BPA's sequential scans).
+  void PrefetchEntry(size_t list, Position position) const {
+    __builtin_prefetch(&db_->list(list).items()[position - 1]);
+    __builtin_prefetch(&db_->list(list).scores()[position - 1]);
+  }
   size_t MirrorBytes() const {
     return db_->num_items() * db_->item_row_stride_bytes();
   }
@@ -163,84 +164,81 @@ class LocalIo {
   size_t m_;  // the row prefetch sizes itself by m on every call
 };
 
-/// Faithful policy: every access goes through the counted engine.
-class EngineIo : public LocalIo {
- public:
-  explicit EngineIo(AccessEngine* engine)
-      : LocalIo(&engine->database()), engine_(engine) {}
-
-  AccessedEntry Sorted(size_t list_index, Position /*position*/) {
-    return engine_->SortedAccess(list_index);
-  }
-  ItemLookup Random(size_t list_index, ItemId item) {
-    return engine_->RandomAccess(list_index, item);
-  }
-  AccessedEntry Direct(size_t list_index, Position position) {
-    return engine_->DirectAccess(list_index, position);
-  }
-
-  const AccessStats& stats() const { return engine_->stats(); }
-
- private:
-  AccessEngine* engine_;
-};
-
-/// Fast policy: direct list reads, registers-only counting, one flush.
-/// The caller passes the sorted position explicitly (the loops know their
-/// depth), so no cursor state is maintained; the engine's cursors stay at 0.
+/// The local read path: direct list reads, registers-only counting, one
+/// store into the engine per run; with kAudit, each read's touch is also
+/// recorded in the engine's audit trail.
+template <bool kAudit = false>
 class RawListIo : public LocalIo {
  public:
   RawListIo(const Database* db, AccessEngine* engine)
-      : LocalIo(db), engine_(engine) {}
+      : LocalIo(db), engine_(engine), stats_(engine->stats()) {}
 
   AccessedEntry Sorted(size_t list_index, Position position) {
     ++stats_.sorted_accesses;
-    const ListEntry entry = db_->list(list_index).EntryAt(position);
-    return AccessedEntry{entry.item, entry.score, position};
+    return EntryAt(list_index, position);
   }
   ItemLookup Random(size_t list_index, ItemId item) {
     ++stats_.random_accesses;
     // Item-major mirror: the (m-1) random accesses an algorithm issues for
     // one item hit the same one or two cache lines instead of m arrays.
-    return ItemLookup{db_->ItemScoresRow(item)[list_index],
-                      db_->ItemPositionsRow(item)[list_index]};
+    const ItemLookup lookup = db_->Lookup(list_index, item);
+    Touch(list_index, lookup.position);
+    return lookup;
   }
   AccessedEntry Direct(size_t list_index, Position position) {
     ++stats_.direct_accesses;
-    const ListEntry entry = db_->list(list_index).EntryAt(position);
-    return AccessedEntry{entry.item, entry.score, position};
+    return EntryAt(list_index, position);
   }
-  void Flush() { engine_->AddStats(stats_); }
+  void Flush() { engine_->set_stats(stats_); }
 
   const AccessStats& stats() const { return stats_; }
 
  private:
+  AccessedEntry EntryAt(size_t list_index, Position position) {
+    Touch(list_index, position);
+    const ListEntry entry = db_->list(list_index).EntryAt(position);
+    return AccessedEntry{entry.item, entry.score, position};
+  }
+  void Touch(size_t list_index, Position position) {
+    if constexpr (kAudit) {
+      engine_->RecordTouch(list_index, position);
+    }
+  }
+
   AccessEngine* engine_;
   AccessStats stats_;
 };
 
-/// Fault-aware policy: every access goes through the fault decorator (and
-/// from there through the counted engine, so counts and cursors stay
-/// faithful). The loops must check SortedAlive/RandomAlive before every
-/// access — see the death contract in lists/fault_injection.h.
-class FaultIo : public LocalIo {
+/// Audit mode's policy: the local read path plus the audit trail.
+using AuditIo = RawListIo<true>;
+
+/// Fault-aware policy: the local read path, with the fault schedule rolled
+/// before every read. A fault-aware loop reads each live list at the row
+/// after the last one it read, so the explicit positions read here are the
+/// ones a sorted cursor would serve. The loops must check
+/// SortedAlive/RandomAlive before every access — see the death contract in
+/// lists/fault_injection.h.
+class FaultIo : public RawListIo<> {
  public:
   static constexpr bool kFaultAware = true;
 
-  explicit FaultIo(FaultInjectingAccessEngine* faults)
-      : LocalIo(&faults->inner()->database()), faults_(faults) {}
+  FaultIo(const Database* db, AccessEngine* engine,
+          FaultInjectingAccessEngine* faults)
+      : RawListIo(db, engine), faults_(faults) {}
 
-  AccessedEntry Sorted(size_t list_index, Position /*position*/) {
-    return faults_->SortedAccess(list_index);
+  AccessedEntry Sorted(size_t list_index, Position position) {
+    faults_->Roll(list_index);
+    return RawListIo::Sorted(list_index, position);
   }
   ItemLookup Random(size_t list_index, ItemId item) {
-    return faults_->RandomAccess(list_index, item);
+    faults_->Roll(list_index);
+    return RawListIo::Random(list_index, item);
   }
   AccessedEntry Direct(size_t list_index, Position position) {
-    return faults_->DirectAccess(list_index, position);
+    faults_->Roll(list_index);
+    return RawListIo::Direct(list_index, position);
   }
 
-  const AccessStats& stats() const { return faults_->stats(); }
   bool SortedAlive(size_t list_index) const {
     return faults_->ListAlive(list_index);
   }
@@ -261,18 +259,18 @@ class FaultIo : public LocalIo {
 };
 
 /// Runs `loop(io)` over the local policy a prepared context calls for:
-/// EngineIo when auditing, FaultIo when faults are armed, RawListIo
+/// AuditIo when auditing, FaultIo when faults are armed, RawListIo<>
 /// otherwise.
 template <typename Loop>
 Status RunOnLocalIo(const Database& db, bool audit, ExecutionContext* context,
                     const Loop& loop) {
   if (audit) {
-    return loop(EngineIo(&context->engine()));
+    return loop(AuditIo(&db, &context->engine()));
   }
   if (context->faults().armed()) {
-    return loop(FaultIo(&context->faults()));
+    return loop(FaultIo(&db, &context->engine(), &context->faults()));
   }
-  return loop(RawListIo(&db, &context->engine()));
+  return loop(RawListIo<>(&db, &context->engine()));
 }
 
 }  // namespace topk

@@ -47,14 +47,14 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     return Status::Invalid(
         name(),
         ": fault injection (fault_plan) cannot be combined with "
-        "audit_accesses; the audit trail assumes the faithful engine path");
+        "audit_accesses; the audited read path rolls no fault schedule");
   }
   TOPK_RETURN_NOT_OK(ValidateFor(db, query));
 
   context->Prepare(db, options_.audit_accesses, query.k);
   context->governor().Arm(options_.governor);
   if (options_.fault_plan.enabled()) {
-    context->faults().Arm(&context->engine(), options_.fault_plan);
+    context->faults().Arm(db.num_lists(), options_.fault_plan);
   } else {
     context->faults().Disarm();
   }
@@ -64,15 +64,16 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
   if (run_status.IsUnavailable() && context->faults().armed()) {
     // A random-access algorithm lost a list permanently mid-run. Fail over
     // to NRA over the survivors: accesses already spent stay counted
-    // (carried across the engine reset), the fault layer stays armed — dead
-    // lists stay dead and the deterministic schedule continues — and the
-    // governor keeps running down the same deadline and budgets.
+    // (carried across the engine reset; the NRA run's policy counts on from
+    // them), the fault schedule stays armed — dead lists stay dead and the
+    // deterministic schedule continues — and the governor keeps running
+    // down the same deadline and budgets.
     NraAlgorithm fallback_nra(options_);
     TopKAlgorithm& fallback = fallback_nra;  // protected Run/ValidateFor
     if (fallback.ValidateFor(db, query).ok()) {
       const AccessStats spent = context->engine().stats();
       context->Prepare(db, /*audit=*/false, query.k);
-      context->engine().AddStats(spent);
+      context->engine().set_stats(spent);
       result->Clear();
       run_status = fallback.Run(db, query, context, result);
       result->failed_over = true;

@@ -18,6 +18,46 @@
 namespace topk {
 namespace {
 
+// --- RPC, hedging and health settings ---
+
+// Per-RPC deadline in virtual milliseconds: what a lost message or dead owner
+// costs the caller per attempt before the next retry fires.
+constexpr double kRpcDeadlineMs = 5.0;
+
+// Retry budget: total attempts per RPC (the first try included). An RPC whose
+// budget is exhausted declares the owner permanently dead.
+constexpr int kRpcMaxAttempts = 4;
+
+// Backoff before retry attempt a (1-based): kBackoffBaseMs * 2^(a-1), scaled
+// by a deterministic jitter in [1, 1.5) drawn from kBackoffSeed.
+constexpr double kBackoffBaseMs = 0.5;
+constexpr uint64_t kBackoffSeed = 1;
+
+// Straggler hedging: when an exchange outlasts the owner's hedge timeout —
+// kHedgeMultiplier times the owner's observed p99 latency, never below
+// kHedgeFloorMs — the request is re-issued and the earlier reply wins.
+// Because of the floor, the timeout is only evaluated for attempts slower
+// than kHedgeFloorMs; the p99 is read off the owner's last kLatencyRing (64)
+// successful latencies, where it is the second-largest sample.
+constexpr double kHedgeFloorMs = 1.0;
+constexpr double kHedgeMultiplier = 3.0;
+
+// Per-replica circuit breaker: this many CONSECUTIVE failed attempts open the
+// breaker; a replica with an open breaker is routed around while a sibling
+// is available instead of burning retry budget on it.
+constexpr int kBreakerFailures = 3;
+
+// How long (virtual ms) an open breaker stays open before a half-open probe
+// is allowed, scaled by a deterministic jitter in [1, 1.5) drawn from
+// kHealthSeed. A successful probe closes the breaker; a failed one re-opens
+// it for another window.
+constexpr double kBreakerOpenMs = 10.0;
+constexpr uint64_t kHealthSeed = 1;
+
+// EWMA smoothing for per-replica observed latency (the healthiest-replica
+// routing signal): ewma <- alpha * sample + (1 - alpha) * ewma.
+constexpr double kEwmaAlpha = 0.3;
+
 constexpr uint64_t kBackoffSalt = 0xc6a4a7935bd1e995ull;
 
 // The backoff and breaker jitter is a pure splitmix64 hash of (seed,
@@ -59,63 +99,11 @@ Status DistOptions::Validate(const char* algorithm, size_t num_owners) const {
                            "= ",
                            window_rows);
   }
-  if (!std::isfinite(rpc_deadline_ms) || rpc_deadline_ms <= 0.0) {
-    return Status::Invalid(algorithm,
-                           ": dist rpc_deadline_ms must be finite and > 0; "
-                           "got rpc_deadline_ms = ",
-                           rpc_deadline_ms);
-  }
-  if (rpc_max_attempts < 1) {
-    return Status::Invalid(algorithm,
-                           ": dist retry budget rpc_max_attempts must be >= 1 "
-                           "(the first try is an attempt); got "
-                           "rpc_max_attempts = ",
-                           rpc_max_attempts);
-  }
-  if (!std::isfinite(backoff_base_ms) || backoff_base_ms < 0.0) {
-    return Status::Invalid(algorithm,
-                           ": dist backoff_base_ms must be finite and >= 0; "
-                           "got backoff_base_ms = ",
-                           backoff_base_ms);
-  }
-  if (!std::isfinite(hedge_floor_ms) || hedge_floor_ms <= 0.0) {
-    return Status::Invalid(algorithm,
-                           ": dist hedge timeout floor hedge_floor_ms must be "
-                           "> 0 (a zero floor hedges every exchange); got "
-                           "hedge_floor_ms = ",
-                           hedge_floor_ms);
-  }
-  if (!std::isfinite(hedge_multiplier) || hedge_multiplier < 1.0) {
-    return Status::Invalid(algorithm,
-                           ": dist hedge_multiplier must be >= 1 (a hedge "
-                           "below the observed p99 races every exchange); got "
-                           "hedge_multiplier = ",
-                           hedge_multiplier);
-  }
   if (replication_factor < 1) {
     return Status::Invalid(algorithm,
                            ": dist replication_factor must be >= 1 (1 means "
                            "unreplicated); got replication_factor = ",
                            replication_factor);
-  }
-  if (breaker_failures < 1) {
-    return Status::Invalid(algorithm,
-                           ": dist breaker_failures must be >= 1 (a breaker "
-                           "that opens after zero failures never routes "
-                           "anywhere); got breaker_failures = ",
-                           breaker_failures);
-  }
-  if (!std::isfinite(breaker_open_ms) || breaker_open_ms < 0.0) {
-    return Status::Invalid(algorithm,
-                           ": dist breaker_open_ms must be finite and >= 0; "
-                           "got breaker_open_ms = ",
-                           breaker_open_ms);
-  }
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
-    return Status::Invalid(algorithm,
-                           ": dist ewma_alpha must be in (0, 1]; got "
-                           "ewma_alpha = ",
-                           ewma_alpha);
   }
   return governor.Validate(algorithm);
 }
@@ -257,7 +245,7 @@ void Coordinator::BeginQuery(size_t k, bool bpa) {
   context_.governor().Arm(options_.governor);
   // Owners start every query alive: a query's death discoveries are its own
   // (the transport's schedule decides what actually answers), mirroring the
-  // per-query Arm() of the access-level fault decorator.
+  // per-query Arm() of the local fault schedule.
   owner_alive_.assign(owners, 1);
   latency_ring_.assign(owners * kLatencyRing, 0.0);
   latency_count_.assign(owners, 0);
@@ -291,7 +279,7 @@ double Coordinator::HedgeTimeoutMs(size_t owner) const {
   const size_t count =
       std::min<size_t>(latency_count_[owner], kLatencyRing);
   if (count == 0) {
-    return options_.hedge_floor_ms;
+    return kHedgeFloorMs;
   }
   latency_scratch_.assign(latency_ring_.begin() + owner * kLatencyRing,
                           latency_ring_.begin() + owner * kLatencyRing + count);
@@ -299,8 +287,7 @@ double Coordinator::HedgeTimeoutMs(size_t owner) const {
       static_cast<double>(count - 1) * 0.99);
   std::nth_element(latency_scratch_.begin(), latency_scratch_.begin() + p99,
                    latency_scratch_.end());
-  return std::max(options_.hedge_floor_ms,
-                  options_.hedge_multiplier * latency_scratch_[p99]);
+  return std::max(kHedgeFloorMs, kHedgeMultiplier * latency_scratch_[p99]);
 }
 
 void Coordinator::RecordLatency(size_t owner, double latency_ms) {
@@ -310,10 +297,9 @@ void Coordinator::RecordLatency(size_t owner, double latency_ms) {
   // The same successful samples feed the health tracker's EWMA — the
   // healthiest-replica routing signal.
   ReplicaHealth& health = health_[owner];
-  health.ewma_ms = health.ewma_set
-                       ? options_.ewma_alpha * latency_ms +
-                             (1.0 - options_.ewma_alpha) * health.ewma_ms
-                       : latency_ms;
+  health.ewma_ms = health.ewma_set ? kEwmaAlpha * latency_ms +
+                                         (1.0 - kEwmaAlpha) * health.ewma_ms
+                                   : latency_ms;
   health.ewma_set = true;
 }
 
@@ -338,7 +324,7 @@ void Coordinator::KillOwner(size_t owner) {
 // --- replica health ---
 
 double Coordinator::HealthJitter() {
-  return JitterDraw(options_.health_seed, ++health_counter_);
+  return JitterDraw(kHealthSeed, ++health_counter_);
 }
 
 void Coordinator::RecordOutcome(size_t owner, bool success) {
@@ -352,15 +338,14 @@ void Coordinator::RecordOutcome(size_t owner, bool success) {
   const bool opens =
       health.breaker == ReplicaHealth::kHalfOpen ||
       (health.breaker == ReplicaHealth::kClosed &&
-       health.consecutive_failures >= options_.breaker_failures);
+       health.consecutive_failures >= kBreakerFailures);
   if (opens) {
     health.breaker = ReplicaHealth::kOpen;
     ++stats_.breaker_opens;
     // Jittered open window, same [1, 1.5) discipline as the backoff: two
     // replicas opened together do not probe in lockstep.
     health.open_until_ms =
-        stats_.virtual_ms +
-        options_.breaker_open_ms * (1.0 + 0.5 * HealthJitter());
+        stats_.virtual_ms + kBreakerOpenMs * (1.0 + 0.5 * HealthJitter());
   }
 }
 
@@ -381,7 +366,7 @@ void Coordinator::SendProbe(size_t owner) {
   CallResult outcome;
   const Status status = Send(owner, probe_request_, &probe_reply_, &outcome);
   const double latency_ms =
-      status.ok() ? outcome.latency_ms : options_.rpc_deadline_ms;
+      status.ok() ? outcome.latency_ms : kRpcDeadlineMs;
   stats_.virtual_ms += latency_ms;
   if (status.ok()) {
     RecordLatency(owner, latency_ms);
@@ -485,11 +470,11 @@ Status Coordinator::Attempt(size_t owner, size_t hedge_owner,
   // A lost exchange costs the full per-RPC deadline: the caller only learns
   // of the loss when its timer fires.
   const double primary_ms =
-      status.ok() ? primary.latency_ms : options_.rpc_deadline_ms;
-  // The hedge timeout is never below hedge_floor_ms, so an attempt that
+      status.ok() ? primary.latency_ms : kRpcDeadlineMs;
+  // The hedge timeout is never below kHedgeFloorMs, so an attempt that
   // finishes within the floor cannot hedge and the p99 is not computed for
   // it — on a healthy network that is nearly every attempt.
-  const bool late = options_.hedging && primary_ms > options_.hedge_floor_ms;
+  const bool late = primary_ms > kHedgeFloorMs;
   const double hedge_after = late ? HedgeTimeoutMs(owner) : 0.0;
   reply_owner_ = owner;
   if (!late || primary_ms <= hedge_after) {
@@ -538,14 +523,13 @@ Status Coordinator::OwnerRpc(size_t owner, size_t list, const Request& request,
   }
   const size_t hedge_owner = HedgeTarget(owner, list);
   Status last;
-  for (int attempt = 0; attempt < options_.rpc_max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kRpcMaxAttempts; ++attempt) {
     if (attempt > 0) {
       // Jittered exponential backoff before each retry, charged as virtual
       // wait against the query deadline.
       ++stats_.retries;
-      const double jitter =
-          JitterDraw(options_.backoff_seed, ++backoff_counter_);
-      stats_.virtual_ms += options_.backoff_base_ms *
+      const double jitter = JitterDraw(kBackoffSeed, ++backoff_counter_);
+      stats_.virtual_ms += kBackoffBaseMs *
                            static_cast<double>(uint64_t{1} << (attempt - 1)) *
                            (1.0 + 0.5 * jitter);
     }
@@ -574,7 +558,7 @@ Status Coordinator::OwnerRpc(size_t owner, size_t list, const Request& request,
   KillOwner(owner);
   return Status::Unavailable("Coordinator: owner ", owner,
                              " declared permanently dead after ",
-                             options_.rpc_max_attempts,
+                             kRpcMaxAttempts,
                              " attempts; last error: ", last.message());
 }
 

@@ -9,19 +9,25 @@
 // distributed top-k literature optimizes (messages and bytes per query). The
 // coordinator itself keeps only the RPC, health and replica machinery.
 //
-// Robustness is the contract, not an afterthought:
+// Robustness is the contract, not an afterthought. Its settings are named
+// constants in coordinator.cc, one value each (kRpcDeadlineMs and friends):
 //
-//  * every RPC runs under a per-call deadline with a bounded retry budget and
-//    deterministic jittered exponential backoff (all charged as virtual
-//    milliseconds against the query governor's deadline);
-//  * straggler hedging: when an exchange outlasts a p99-derived per-owner
-//    hedge timeout, the request is re-issued and the earlier reply wins
+//  * every RPC runs under a per-call deadline (kRpcDeadlineMs, 5 virtual ms)
+//    with a bounded retry budget (kRpcMaxAttempts, 4 attempts) and
+//    deterministic jittered exponential backoff (kBackoffBaseMs · 2^(a-1),
+//    jitter seeded by kBackoffSeed), all charged as virtual milliseconds
+//    against the query governor's deadline;
+//  * straggler hedging: when an exchange outlasts a per-owner hedge timeout
+//    (kHedgeMultiplier × the owner's observed p99, never below
+//    kHedgeFloorMs), the request is re-issued and the earlier reply wins
 //    (duplicates are deduped and their bytes counted, as an at-least-once
 //    transport forces);
 //  * replica groups: with DistOptions::replication_factor = R every list is
 //    served by R owner replicas (mirrors of the same immutable list), and a
-//    per-replica health tracker (consecutive-failure circuit breaker with
-//    seeded half-open probes, EWMA latency) drives a failover ladder per
+//    per-replica health tracker (a circuit breaker that opens after
+//    kBreakerFailures consecutive failures for a kBreakerOpenMs window
+//    jittered by kHealthSeed, then admits a half-open probe; EWMA latency
+//    with weight kEwmaAlpha) drives a failover ladder per
 //    RPC: retry-with-backoff on the primary → hedge to the healthiest
 //    sibling replica → abandon the replica (breaker open or retry budget
 //    exhausted) and re-route to a survivor, resuming the sorted cursor at
@@ -39,7 +45,7 @@
 // their answers, certificates, access counts and governor behaviour are the
 // single-node engine's (dBPA's are memoized BPA's: it resolves each item
 // once), and a faulted run replays message-for-message from the transport
-// fault plan's seed plus DistOptions::backoff_seed.
+// fault plan's seed plus the constant kBackoffSeed and kHealthSeed.
 
 #ifndef TOPK_DIST_COORDINATOR_H_
 #define TOPK_DIST_COORDINATOR_H_
@@ -64,59 +70,19 @@ namespace topk {
 struct RemoteReads;  // dist/remote_io.h
 
 /// Knobs of one coordinator. A default-constructed DistOptions is valid for
-/// any transport with at least one owner.
+/// any transport with at least one owner. The RPC, hedging and health
+/// settings are fixed constants (see the file comment).
 struct DistOptions {
   /// Sorted-access batching: rows fetched per kSortedWindow/kDrain message.
   /// It also spans BPA's random-access batches: the random reads of a
   /// window's rows go out in one kRandomLookup per list (at 1, one per row).
   uint32_t window_rows = 64;
 
-  /// Per-RPC deadline in virtual milliseconds: what a lost message or dead
-  /// owner costs the caller per attempt before the next retry fires.
-  double rpc_deadline_ms = 5.0;
-
-  /// Retry budget: total attempts per RPC (the first try included). An RPC
-  /// whose budget is exhausted declares the owner permanently dead.
-  int rpc_max_attempts = 4;
-
-  /// Backoff before retry attempt a (1-based): backoff_base_ms * 2^(a-1),
-  /// scaled by a deterministic jitter in [1, 1.5) drawn from backoff_seed.
-  double backoff_base_ms = 0.5;
-  uint64_t backoff_seed = 1;
-
-  /// Straggler hedging: when an exchange outlasts the owner's hedge timeout
-  /// — hedge_multiplier times the owner's observed p99 latency, never below
-  /// hedge_floor_ms — the request is re-issued and the earlier reply wins.
-  /// Because of the floor, the timeout is only evaluated for attempts slower
-  /// than hedge_floor_ms; the p99 is read off the owner's last kLatencyRing
-  /// (64) successful latencies, where it is the second-largest sample.
-  bool hedging = true;
-  double hedge_floor_ms = 1.0;
-  double hedge_multiplier = 3.0;
-
   /// Replica groups: every list must be claimed by exactly this many owners
   /// (Connect() groups the claims). 1 — the default — is the unreplicated
   /// PR 8 topology; the health tracker and failover ladder are then inert
   /// (one replica is always "the healthiest") and behavior is unchanged.
   uint32_t replication_factor = 1;
-
-  /// Per-replica circuit breaker: this many CONSECUTIVE failed attempts
-  /// open the breaker; a replica with an open breaker is routed around
-  /// while a sibling is available instead of burning retry budget on it.
-  int breaker_failures = 3;
-
-  /// How long (virtual ms) an open breaker stays open before a half-open
-  /// probe is allowed, scaled by a deterministic jitter in [1, 1.5) drawn
-  /// from health_seed. A successful probe closes the breaker; a failed one
-  /// re-opens it for another window.
-  double breaker_open_ms = 10.0;
-
-  /// EWMA smoothing for per-replica observed latency (the healthiest-replica
-  /// routing signal): ewma ← alpha * sample + (1 - alpha) * ewma. In (0, 1].
-  double ewma_alpha = 0.3;
-
-  /// Seed of the health tracker's jittered breaker windows.
-  uint64_t health_seed = 1;
 
   /// Per-query execution limits, enforced by the core loops on their
   /// single-node cadence (StrictMode included). RPC latencies, backoff waits
@@ -196,7 +162,7 @@ class Coordinator {
   friend class RemoteIo;
 
   /// Per-replica health, reset per query: a consecutive-failure circuit
-  /// breaker (closed → open after breaker_failures straight failures; open →
+  /// breaker (closed → open after kBreakerFailures straight failures; open →
   /// half-open when a seeded jittered window elapses and a probe fires;
   /// half-open → closed on probe success, back to open on failure) plus an
   /// EWMA of observed attempt latency for healthiest-replica routing.
@@ -228,7 +194,7 @@ class Coordinator {
 
   /// One attempt = primary send, hedged when its outcome (reply latency, or
   /// the full RPC deadline for a loss) outlasts the owner's hedge timeout —
-  /// computed only when the outcome exceeds hedge_floor_ms, the timeout's
+  /// computed only when the outcome exceeds kHedgeFloorMs, the timeout's
   /// lower bound.
   /// The hedge goes to `hedge_owner` — the primary itself when unreplicated,
   /// the healthiest live sibling replica otherwise. On success `*latency_ms`

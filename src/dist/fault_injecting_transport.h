@@ -1,13 +1,14 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // FaultInjectingTransport: a seeded, deterministic fault decorator over any
-// Transport — the message-layer sibling of FaultInjectingAccessEngine. It
+// Transport — the message-layer sibling of the local fault schedule,
+// FaultInjectingAccessEngine. It
 // drops messages, delays deliveries, duplicates replies, and kills owners
 // permanently, all as pure hashes of (seed, owner, per-owner message counter)
 // using the same splitmix64 discipline, so a fault schedule replays
 // message-for-message from its seed.
 //
-// Death contract (mirrors the access-engine decorator): an owner serves every
+// Death contract (mirrors the local fault schedule's): an owner serves every
 // message up to its precomputed death point and then flips to dead; every
 // later Call() fails Unavailable with zero reported latency — a dead owner
 // looks exactly like a black hole, so the caller charges its own RPC deadline

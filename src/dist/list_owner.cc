@@ -106,15 +106,14 @@ Status ListOwner::ServeDrain(const Request& request, Reply* reply) const {
 Status ListOwner::ServeLookup(const Request& request, Reply* reply) const {
   Status owned = CheckOwnership(request.list_index);
   if (!owned.ok()) return owned;
-  const SortedList& list = db_->list(request.list_index);
-  const size_t n = list.size();
+  const size_t n = db_->num_items();
   reply->lookups.reserve(request.items.size());
   for (ItemId item : request.items) {
     if (item >= n) {
       return Status::KeyError("ListOwner: item ", item, " outside [0, ", n,
                               ") on list ", request.list_index);
     }
-    reply->lookups.push_back(list.Lookup(item));
+    reply->lookups.push_back(db_->Lookup(request.list_index, item));
   }
   return Status::OK();
 }

@@ -6,27 +6,17 @@
 
 namespace topk {
 
-void AccessEngine::Reset(const Database& db, bool audit) {
-  db_ = &db;
+void AccessEngine::Reset(size_t m, size_t n, bool audit) {
   stats_ = AccessStats{};
-  cursors_.assign(db.num_lists(), 0);
   audit_ = audit;
   if (audit_) {
-    touch_counts_.resize(db.num_lists());
+    touch_counts_.resize(m);
     for (auto& counts : touch_counts_) {
-      counts.assign(db.num_items(), 0);
+      counts.assign(n, 0);
     }
   } else {
     touch_counts_.clear();
   }
-}
-
-Position AccessEngine::MaxSortedDepth() const {
-  size_t depth = 0;
-  for (size_t cursor : cursors_) {
-    depth = std::max(depth, cursor);
-  }
-  return static_cast<Position>(depth);
 }
 
 uint32_t AccessEngine::MaxTouchCount(size_t list_index) const {

@@ -63,12 +63,12 @@ Database::Database(std::vector<SortedList> lists) : lists_(std::move(lists)) {
   rows_base_ = rows;
   for (size_t j = 0; j < m; ++j) {
     const SortedList& list = lists_[j];
-    for (ItemId item = 0; item < n; ++item) {
-      const ItemLookup lookup = list.Lookup(item);
-      unsigned char* row = rows + static_cast<size_t>(item) * row_stride_;
-      std::memcpy(row + j * sizeof(Score), &lookup.score, sizeof(Score));
-      std::memcpy(row + positions_offset_ + j * sizeof(Position),
-                  &lookup.position, sizeof(Position));
+    for (Position position = 1; position <= n; ++position) {
+      const ListEntry entry = list.EntryAt(position);
+      unsigned char* row = rows + static_cast<size_t>(entry.item) * row_stride_;
+      std::memcpy(row + j * sizeof(Score), &entry.score, sizeof(Score));
+      std::memcpy(row + positions_offset_ + j * sizeof(Position), &position,
+                  sizeof(Position));
     }
   }
 }

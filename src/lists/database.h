@@ -1,6 +1,7 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// Database: the paper's "set of m sorted lists" over a common item universe.
+// Database: the paper's "set of m sorted lists" over a common item universe,
+// plus the one by-item index over them (the item-major mirror below).
 
 #ifndef TOPK_LISTS_DATABASE_H_
 #define TOPK_LISTS_DATABASE_H_
@@ -43,22 +44,34 @@ class Database {
 
   // --- item-major random-access mirror ---
   //
-  // The per-list SoA layout serves one list's lookup cheaply, but an
-  // algorithm resolving an item reads it in *every* list — m touches spread
-  // over m arrays. The mirror therefore stores one interleaved row per item:
-  // the item's m scores followed by its m 32-bit positions, contiguous in a
-  // single blob. Rows are padded to a stride that divides (or is a multiple
-  // of) the 64-byte cache line and the blob's base is line-aligned, so a row
-  // occupies exactly ceil(12*m/64) lines and never straddles an extra one —
-  // for the common m <= 5 a full per-item resolution (all scores and all
-  // positions) is ONE cache-line touch, where the previous two-array mirror
-  // paid up to four in two distant regions. That factor-of-two-plus drop in
-  // lines per random access is what the DRAM-resident (n in the millions)
-  // BPA/TA loops prefetch against. Costs n*stride bytes (stride below); built
-  // once at construction.
+  // The lists store their sorted order only; every by-item read — the
+  // algorithms' random accesses, list owners' lookups, exact-score reports —
+  // goes through this mirror, built from the sorted arrays at construction.
+  // An algorithm resolving an item reads it in *every* list, so the mirror
+  // stores one interleaved row per item: the item's m scores followed by its
+  // m 32-bit positions, contiguous in a single blob. Rows are padded to a
+  // stride that divides (or is a multiple of) the 64-byte cache line and the
+  // blob's base is line-aligned, so a row occupies exactly ceil(12*m/64)
+  // lines and never straddles an extra one — for the common m <= 5 a full
+  // per-item resolution (all scores and all positions) is ONE cache-line
+  // touch. That is what the DRAM-resident (n in the millions) BPA/TA loops
+  // prefetch against. Costs n*stride bytes (stride below), next to the lists'
+  // 12*m bytes per item.
 
-  /// The m local scores of `item`, indexed by list: ItemScoresRow(d)[j]
-  /// == list(j).ScoreOf(d). The row is the first half of the item's mirror
+  /// Random access without counting: score and 1-based position of `item`
+  /// in list `list`. Item must be < n.
+  ItemLookup Lookup(size_t list, ItemId item) const {
+    return ItemLookup{ItemScoresRow(item)[list],
+                      ItemPositionsRow(item)[list]};
+  }
+
+  /// Local score of `item` in list `list`. Item must be < n.
+  Score ScoreOf(size_t list, ItemId item) const {
+    return ItemScoresRow(item)[list];
+  }
+
+  /// The m local scores of `item`, indexed by list: ItemScoresRow(d)[j] is
+  /// d's score in list(j). The row is the first half of the item's mirror
   /// row; its positions follow contiguously (same cache line for m <= 5).
   const Score* ItemScoresRow(ItemId item) const {
     return reinterpret_cast<const Score*>(
@@ -66,7 +79,7 @@ class Database {
   }
 
   /// The m 1-based positions of `item`, indexed by list:
-  /// ItemPositionsRow(d)[j] == list(j).PositionOf(d).
+  /// list(j).EntryAt(ItemPositionsRow(d)[j]).item == d.
   const Position* ItemPositionsRow(ItemId item) const {
     return reinterpret_cast<const Position*>(
         rows_base_ + static_cast<size_t>(item) * row_stride_ +
@@ -90,11 +103,8 @@ class Database {
   /// (used by the naive algorithm and by tests as ground truth).
   template <typename CombineFn>
   Score OverallScore(ItemId item, CombineFn&& combine) const {
-    std::vector<Score> local(lists_.size());
-    for (size_t i = 0; i < lists_.size(); ++i) {
-      local[i] = lists_[i].ScoreOf(item);
-    }
-    return combine(local);
+    const Score* row = ItemScoresRow(item);
+    return combine(std::vector<Score>(row, row + lists_.size()));
   }
 
  private:

@@ -46,7 +46,7 @@ Status WriteCsv(const Database& db, std::ostream& os) {
   for (ItemId item = 0; item < n; ++item) {
     os << item;
     for (size_t j = 0; j < m; ++j) {
-      os << "," << db.list(j).ScoreOf(item);
+      os << "," << db.ScoreOf(j, item);
     }
     os << "\n";
   }

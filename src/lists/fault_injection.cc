@@ -75,13 +75,10 @@ Status FaultPlan::Validate(const char* algorithm, size_t num_lists) const {
   return Status::OK();
 }
 
-void FaultInjectingAccessEngine::Arm(AccessEngine* inner,
-                                     const FaultPlan& plan) {
-  inner_ = inner;
+void FaultInjectingAccessEngine::Arm(size_t m, const FaultPlan& plan) {
   plan_ = plan;
   stats_ = FaultStats{};
   armed_ = true;
-  const size_t m = inner->database().num_lists();
   touches_.assign(m, 0);
   death_at_.assign(m, ~0ull);
   alive_.assign(m, 1);

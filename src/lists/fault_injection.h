@@ -1,10 +1,11 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// FaultInjectingAccessEngine: a decorator over AccessEngine that injects a
-// seeded, deterministic fault schedule into the access stream — transient
-// errors (absorbed by bounded retry inside the engine), latency spikes
+// FaultInjectingAccessEngine: the seeded, deterministic fault schedule of a
+// local run — transient errors (absorbed by bounded retry), latency spikes
 // (charged as virtual milliseconds against the governor's deadline), and
-// permanent per-list death.
+// permanent per-list death. It is a schedule, not a decorator: it reads no
+// list. The FaultIo access policy (core/list_io.h) rolls it before each read
+// it serves.
 //
 // Determinism is the whole point: every fault decision is a pure hash of
 // (seed, list, per-list access counter[, retry attempt]), so the same plan
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "lists/access_engine.h"
 
 namespace topk {
 
@@ -85,17 +85,17 @@ struct FaultStats {
   uint32_t dead_lists = 0;          ///< lists currently permanently dead
 };
 
-/// The decorator. One instance lives in every ExecutionContext; Arm() binds
-/// it to the context's engine and precomputes each list's death point, and
-/// all storage is retained across queries (zero allocations once warmed).
+/// The schedule. One instance lives in every ExecutionContext; Arm()
+/// precomputes each list's death point, and all storage is retained across
+/// queries (zero allocations once warmed).
 class FaultInjectingAccessEngine {
  public:
   FaultInjectingAccessEngine() = default;
 
-  /// Arms the schedule for one query over `inner`'s current database.
-  /// Resets per-list counters and draws each list's death point from the
-  /// plan. Call Disarm() instead when no faults are wanted.
-  void Arm(AccessEngine* inner, const FaultPlan& plan);
+  /// Arms the schedule for one query over `m` lists. Resets per-list
+  /// counters and draws each list's death point from the plan. Call Disarm()
+  /// instead when no faults are wanted.
+  void Arm(size_t m, const FaultPlan& plan);
 
   /// Disarms without touching retained storage; accessors keep working
   /// (everything reports alive / zero faults).
@@ -109,39 +109,16 @@ class FaultInjectingAccessEngine {
     return !armed_ || alive_[list_index] != 0;
   }
 
+  /// Rolls the schedule for one access to `list_index` (precondition:
+  /// armed and ListAlive): possibly spends retries, charges a spike, or
+  /// schedules the list's death *after* this access.
+  void Roll(size_t list_index);
+
   uint32_t dead_lists() const { return stats_.dead_lists; }
   double virtual_latency_ms() const { return stats_.virtual_latency_ms; }
   const FaultStats& fault_stats() const { return stats_; }
 
-  /// Access counts of the underlying engine (cumulative across a failover).
-  const AccessStats& stats() const { return inner_->stats(); }
-
-  // The three access modes. Precondition: ListAlive(list_index). Each rolls
-  // the fault schedule (possibly spending retries, charging spikes, or
-  // scheduling the list's death *after* this access) and then delegates.
-  AccessedEntry SortedAccess(size_t list_index) {
-    Roll(list_index);
-    return inner_->SortedAccess(list_index);
-  }
-  ItemLookup RandomAccess(size_t list_index, ItemId item) {
-    Roll(list_index);
-    return inner_->RandomAccess(list_index, item);
-  }
-  AccessedEntry DirectAccess(size_t list_index, Position position) {
-    Roll(list_index);
-    return inner_->DirectAccess(list_index, position);
-  }
-
-  bool SortedExhausted(size_t list_index) const {
-    return inner_->SortedExhausted(list_index);
-  }
-
-  AccessEngine* inner() const { return inner_; }
-
  private:
-  void Roll(size_t list_index);
-
-  AccessEngine* inner_ = nullptr;
   FaultPlan plan_;
   FaultStats stats_;
   bool armed_ = false;

@@ -60,26 +60,14 @@ Result<ListEntry> SortedList::EntryAtChecked(Position position) const {
   return EntryAt(position);
 }
 
-Result<ItemLookup> SortedList::LookupChecked(ItemId item) const {
-  if (item >= score_by_item_.size()) {
-    return Status::KeyError("item ", item, " not in list of ",
-                            score_by_item_.size(), " items");
-  }
-  return Lookup(item);
-}
-
 void SortedList::BuildFrom(std::vector<ListEntry> entries) {
   std::sort(entries.begin(), entries.end(), DescendingScoreOrder);
   const size_t n = entries.size();
   items_.resize(n);
   scores_.resize(n);
-  score_by_item_.resize(n);
-  position_by_item_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     items_[i] = entries[i].item;
     scores_[i] = entries[i].score;
-    score_by_item_[entries[i].item] = entries[i].score;
-    position_by_item_[entries[i].item] = static_cast<Position>(i + 1);
   }
 }
 

@@ -1,18 +1,11 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // SortedList: one of the paper's m lists. Stores n (item, local score) pairs in
-// descending score order and an inverted index for O(1) by-item lookups.
-//
-// Storage is structure-of-arrays: the sorted order lives in two parallel
-// arrays items_[]/scores_[] (position -> item, position -> score), and random
-// access goes through two by-item arrays (item -> score, item -> 32-bit
-// position). The by-item side used to be a packed 16-byte {score, position}
-// slot; splitting it saves the 4 alignment-padding bytes per (item, list) —
-// 12 instead of 16 bytes, 25% less random-access footprint at DRAM scale —
-// at the cost of a second array touch in Lookup. The library's hot random
-// accesses do not come through here at all: they read the Database's
-// interleaved item-major mirror rows (one cache line for all m lists), so
-// this trade only affects the audited/engine access path and cold callers.
+// descending score order as two parallel arrays, items_[] and scores_[]
+// (position -> item, position -> score): sorted and direct access read them.
+// A list keeps no by-item index: random access reads the Database's
+// interleaved item-major mirror (one row per item holding all m lists'
+// scores and positions), the library's one by-item index.
 
 #ifndef TOPK_LISTS_SORTED_LIST_H_
 #define TOPK_LISTS_SORTED_LIST_H_
@@ -28,11 +21,10 @@ namespace topk {
 
 /// An immutable list of n items sorted by descending local score.
 ///
-/// Supports the three access primitives of the paper:
-///  * sorted access    — performed by an external cursor walking positions 1..n
-///                       via EntryAt();
-///  * random access    — Lookup(item) returns the item's score and position;
+/// Serves two of the paper's access primitives by position:
+///  * sorted access    — a read at the next position 1..n via EntryAt();
 ///  * direct access    — EntryAt(position) returns the entry at a position.
+/// Random access (by item) is the Database's: Database::Lookup(list, item).
 ///
 /// Ties are broken by ascending item id so that list order is deterministic.
 class SortedList {
@@ -61,25 +53,11 @@ class SortedList {
   /// Checked variant of EntryAt.
   Result<ListEntry> EntryAtChecked(Position position) const;
 
-  /// Random access: score and 1-based position of `item`. Item must be < n.
-  ItemLookup Lookup(ItemId item) const {
-    return ItemLookup{score_by_item_[item], position_by_item_[item]};
-  }
-
-  /// Checked variant of Lookup.
-  Result<ItemLookup> LookupChecked(ItemId item) const;
-
   /// Local score at a 1-based position — like EntryAt(position).score but a
   /// single array load (the BPA/BPA2 stop rules only need the score).
   Score ScoreAtPosition(Position position) const {
     return scores_[position - 1];
   }
-
-  /// Position of `item` (1-based). Item must be < n.
-  Position PositionOf(ItemId item) const { return position_by_item_[item]; }
-
-  /// Local score of `item`. Item must be < n.
-  Score ScoreOf(ItemId item) const { return score_by_item_[item]; }
 
   /// Highest local score (score at position 1). List must be non-empty.
   Score MaxScore() const { return scores_.front(); }
@@ -99,10 +77,8 @@ class SortedList {
  private:
   void BuildFrom(std::vector<ListEntry> entries);
 
-  std::vector<ItemId> items_;   // position-1 -> item (descending score)
-  std::vector<Score> scores_;   // position-1 -> local score
-  std::vector<Score> score_by_item_;        // item -> local score
-  std::vector<Position> position_by_item_;  // item -> 1-based position
+  std::vector<ItemId> items_;  // position-1 -> item (descending score)
+  std::vector<Score> scores_;  // position-1 -> local score
 };
 
 }  // namespace topk

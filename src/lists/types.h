@@ -28,11 +28,11 @@ inline constexpr Position kInvalidPosition = 0;
 /// Sentinel for "no item".
 inline constexpr ItemId kInvalidItem = UINT32_MAX;
 
-// The random-access structures (SortedList's by-item arrays, Database's
-// interleaved item-major mirror rows) are laid out assuming the index types
-// stay 32-bit: an item's m scores and m positions pack into 12*m contiguous
-// bytes, which is what keeps a full per-item resolution inside one or two
-// cache lines at DRAM scale (n in the millions). Widening either type is a
+// The random-access structure (the Database's interleaved item-major mirror
+// rows) is laid out assuming the index types stay 32-bit: an item's m scores
+// and m positions pack into 12*m contiguous bytes, which is what keeps a full
+// per-item resolution inside one or two cache lines at DRAM scale (n in the
+// millions). Widening either type is a
 // deliberate layout decision, not a typedef edit — these asserts make the
 // contract explicit.
 static_assert(sizeof(ItemId) == 4, "item ids are 32-bit by layout contract");

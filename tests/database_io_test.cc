@@ -54,7 +54,7 @@ TEST(DatabaseIoTest, CsvAcceptsShuffledRows) {
   Result<Database> loaded = ReadCsv(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.ValueUnsafe().num_items(), 3u);
-  EXPECT_DOUBLE_EQ(loaded.ValueUnsafe().list(0).ScoreOf(2), 3.0);
+  EXPECT_DOUBLE_EQ(loaded.ValueUnsafe().ScoreOf(0, 2), 3.0);
 }
 
 TEST(DatabaseIoTest, CsvRejectsBadHeader) {

@@ -13,6 +13,13 @@
 namespace topk {
 namespace {
 
+// A database of the one list built from `scores` (item i scores scores[i]).
+Database OneList(const std::vector<Score>& scores) {
+  std::vector<SortedList> lists;
+  lists.push_back(SortedList::FromScores(scores));
+  return Database::Make(std::move(lists)).ValueOrDie();
+}
+
 Database TwoByThree() {
   // scores[item][list]
   return Database::FromScoreMatrix({{1.0, 6.0},
@@ -92,13 +99,57 @@ TEST(DatabaseTest, AllScoresNonNegative) {
 }
 
 TEST(DatabaseTest, EveryItemInEveryList) {
-  Database db = TwoByThree();
-  for (size_t li = 0; li < db.num_lists(); ++li) {
-    for (ItemId item = 0; item < db.num_items(); ++item) {
-      const Position p = db.list(li).PositionOf(item);
-      ASSERT_GE(p, 1u);
-      ASSERT_LE(p, db.num_items());
+  // The by-item mirror agrees with every list's sorted order: position p of
+  // list li holds the item whose mirror row says p, at the same score. The
+  // tied database checks the id tie-break too.
+  for (const Database& db :
+       {TwoByThree(), Database::FromScoreMatrix(
+                          {{0.5, 1.0}, {0.5, 1.0}, {0.9, 0.0}, {0.5, 1.0}})
+                          .ValueOrDie()}) {
+    for (size_t li = 0; li < db.num_lists(); ++li) {
+      for (Position p = 1; p <= db.num_items(); ++p) {
+        const ListEntry entry = db.list(li).EntryAt(p);
+        const ItemLookup lookup = db.Lookup(li, entry.item);
+        ASSERT_EQ(lookup.position, p) << "list " << li;
+        ASSERT_EQ(lookup.score, entry.score) << "list " << li;
+        ASSERT_EQ(db.ScoreOf(li, entry.item), entry.score) << "list " << li;
+      }
     }
+  }
+}
+
+TEST(DatabaseTest, LookupReturnsScoreAndPosition) {
+  const Database db = OneList({0.2, 0.9, 0.5});
+  const ItemLookup lookup = db.Lookup(0, 0);
+  EXPECT_DOUBLE_EQ(lookup.score, 0.2);
+  EXPECT_EQ(lookup.position, 3u);
+  EXPECT_EQ(db.Lookup(0, 1).position, 1u);
+  EXPECT_DOUBLE_EQ(db.ScoreOf(0, 2), 0.5);
+}
+
+TEST(DatabaseTest, PositionsAreOneBasedAndConsistent) {
+  const Database db = OneList({0.1, 0.4, 0.3, 0.8});
+  for (Position p = 1; p <= db.num_items(); ++p) {
+    const ListEntry e = db.list(0).EntryAt(p);
+    EXPECT_EQ(db.Lookup(0, e.item).position, p);
+    EXPECT_DOUBLE_EQ(db.ScoreOf(0, e.item), e.score);
+  }
+}
+
+TEST(DatabaseTest, SingleItemLookup) {
+  EXPECT_EQ(OneList({3.5}).Lookup(0, 0).position, 1u);
+}
+
+TEST(DatabaseTest, LargeListLookupRoundTrip) {
+  const size_t n = 10000;
+  std::vector<Score> scores(n);
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = static_cast<Score>((i * 7919) % n);
+  }
+  const Database db = OneList(scores);
+  // The by-item index is total and consistent.
+  for (ItemId item = 0; item < n; ++item) {
+    ASSERT_EQ(db.list(0).EntryAt(db.Lookup(0, item).position).item, item);
   }
 }
 

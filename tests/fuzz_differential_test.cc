@@ -325,7 +325,7 @@ TEST_P(FuzzDifferentialTest, GovernedAndFaultedBoundsAreSoundVsNaive) {
     std::vector<Score> locals(m);
     for (ItemId item = 0; item < static_cast<ItemId>(n); ++item) {
       for (size_t j = 0; j < m; ++j) {
-        locals[j] = db.list(j).ScoreOf(item);
+        locals[j] = db.ScoreOf(j, item);
       }
       truth[item] = sum.Combine(locals.data(), m);
     }

@@ -134,8 +134,8 @@ double MeanDisplacement(const Database& db) {
   size_t count = 0;
   for (size_t li = 1; li < db.num_lists(); ++li) {
     for (ItemId item = 0; item < db.num_items(); ++item) {
-      const double p1 = db.list(0).PositionOf(item);
-      const double pi = db.list(li).PositionOf(item);
+      const double p1 = db.Lookup(0, item).position;
+      const double pi = db.Lookup(li, item).position;
       total += std::abs(p1 - pi);
       ++count;
     }

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,7 +51,7 @@ Database MakeDb() { return MakeUniformDatabase(kN, kM, /*seed=*/42); }
 double TrueScore(const Database& db, const Scorer& scorer,
                  std::vector<Score>* scratch, ItemId item) {
   for (size_t i = 0; i < db.num_lists(); ++i) {
-    (*scratch)[i] = db.list(i).ScoreOf(item);
+    (*scratch)[i] = db.ScoreOf(i, item);
   }
   return scorer.Combine(scratch->data(), db.num_lists());
 }
@@ -454,6 +455,91 @@ TEST(FaultInjectionTest, StrictModeRejectsAListFailure) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("StrictMode"), std::string::npos);
+}
+
+// Faulted single-node outcomes, pinned field for field: one targeted kill
+// with transient faults (plan 0) and one random-death plan (plan 1), over
+// every governed algorithm. The random-access algorithms fail over to NRA,
+// NRA and CA degrade in place (CA finishes before plan 0's kill). Any change
+// to how a faulted run reads its lists — the position a read goes to, the
+// order the schedule is rolled in, the counts an NRA failover starts from —
+// moves one of these values.
+struct FaultPin {
+  int plan;
+  AlgorithmKind kind;
+  std::vector<ItemId> items;
+  uint64_t sorted_accesses;
+  uint64_t random_accesses;
+  uint64_t direct_accesses;
+  Position stop_position;
+  Completion completion;
+  uint32_t dead_lists;
+  uint64_t fault_retries;
+  bool failed_over;
+};
+
+TEST(FaultInjectionTest, FaultedOutcomesArePinned) {
+  const Database db = MakeUniformDatabase(300, 4, /*seed=*/7);
+  SumScorer scorer;
+  const TopKQuery query{5, &scorer};
+  FaultPlan plans[2];
+  plans[0].seed = 11;
+  plans[0].kill_list = 1;
+  plans[0].kill_after_accesses = 150;
+  plans[0].transient_rate = 0.3;
+  plans[1].seed = 3;
+  plans[1].death_rate = 0.5;
+  plans[1].death_min_accesses = 20;
+  plans[1].death_max_accesses = 400;
+  using K = AlgorithmKind;
+  using C = Completion;
+  const FaultPin pins[] = {
+      {0, K::kFa, {238, 58, 286, 124, 19}, 1344, 160, 0, 300, C::kListFailure,
+       1, 633, true},
+      {0, K::kTa, {238, 58, 286, 124, 19}, 1051, 450, 0, 300, C::kListFailure,
+       1, 630, true},
+      {0, K::kBpa, {238, 58, 286, 124, 19}, 1051, 450, 0, 300, C::kListFailure,
+       1, 630, true},
+      {0, K::kBpa2, {238, 58, 286, 124, 19}, 900, 450, 150, 300,
+       C::kListFailure, 1, 629, true},
+      {0, K::kTput, {238, 58, 286, 124, 19}, 1723, 0, 0, 300, C::kListFailure,
+       1, 721, true},
+      {0, K::kNra, {238, 58, 249, 73, 291}, 774, 0, 0, 208, C::kListFailure, 1,
+       304, false},
+      {0, K::kCa, {238, 58, 249, 73, 291}, 480, 25, 0, 120, C::kExact, 0, 197,
+       false},
+      {1, K::kFa, {89, 238, 38, 199, 58}, 1344, 39, 0, 300, C::kListFailure, 1,
+       0, true},
+      {1, K::kTa, {89, 238, 38, 199, 58}, 1024, 369, 0, 300, C::kListFailure,
+       1, 0, true},
+      {1, K::kBpa, {89, 238, 38, 199, 58}, 1024, 369, 0, 300, C::kListFailure,
+       1, 0, true},
+      {1, K::kBpa2, {89, 238, 38, 199, 58}, 900, 369, 123, 300,
+       C::kListFailure, 1, 0, true},
+      {1, K::kTput, {89, 238, 38, 199, 58}, 1688, 0, 0, 300, C::kListFailure,
+       1, 0, true},
+      {1, K::kNra, {238, 58, 249, 73, 291}, 1023, 0, 0, 300, C::kListFailure,
+       1, 0, false},
+      {1, K::kCa, {238, 58, 249, 73, 291}, 477, 24, 0, 120, C::kListFailure, 1,
+       0, false},
+  };
+  ExecutionContext context;  // warmed across runs, like a server worker's
+  for (const FaultPin& pin : pins) {
+    SCOPED_TRACE(ToString(pin.kind) + " plan " + std::to_string(pin.plan));
+    AlgorithmOptions options;
+    options.score_floor = DeriveScoreFloor(db);
+    options.fault_plan = plans[pin.plan];
+    const TopKResult r = MustRun(pin.kind, options, db, query, &context);
+    EXPECT_EQ(r.Items(), pin.items);
+    EXPECT_EQ(r.stats.sorted_accesses, pin.sorted_accesses);
+    EXPECT_EQ(r.stats.random_accesses, pin.random_accesses);
+    EXPECT_EQ(r.stats.direct_accesses, pin.direct_accesses);
+    EXPECT_EQ(r.stop_position, pin.stop_position);
+    EXPECT_EQ(r.completion, pin.completion);
+    EXPECT_EQ(r.dead_lists, pin.dead_lists);
+    EXPECT_EQ(r.fault_retries, pin.fault_retries);
+    EXPECT_EQ(r.failed_over, pin.failed_over);
+  }
 }
 
 TEST(FaultInjectionTest, FaultPlanIsIncompatibleWithAccessAuditing) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "gen/paper_fixtures.h"
@@ -238,6 +239,31 @@ TEST_F(PaperFigure2Test, BpaDoesReaccessPositions) {
     max_touches = std::max(max_touches, touches);
   }
   EXPECT_GT(max_touches, 1u);
+}
+
+TEST_F(PaperFigure2Test, MaxTouchesPerListArePinned) {
+  // The audit trail of the random-access algorithms and the Naive scan on
+  // Figure 2, list by list: FA, BPA2 and Naive touch no position twice; TA
+  // and BPA touch some twice.
+  const struct {
+    AlgorithmKind kind;
+    std::vector<uint32_t> max_touches;
+  } pins[] = {
+      {AlgorithmKind::kFa, {1, 1, 1}},
+      {AlgorithmKind::kTa, {2, 2, 2}},
+      {AlgorithmKind::kBpa, {2, 2, 2}},
+      {AlgorithmKind::kBpa2, {1, 1, 1}},
+      {AlgorithmKind::kNaive, {1, 1, 1}},
+  };
+  AlgorithmOptions options;
+  options.audit_accesses = true;
+  for (const auto& pin : pins) {
+    const TopKResult result = MakeAlgorithm(pin.kind, options)
+                                  ->Execute(db_, TopKQuery{3, &sum_})
+                                  .ValueOrDie();
+    EXPECT_EQ(result.max_touches_per_list, pin.max_touches)
+        << ToString(pin.kind);
+  }
 }
 
 TEST_F(PaperFigure2Test, TaAndAllOthersReturnSameScores) {

@@ -28,24 +28,6 @@ TEST(SortedListTest, TiesBrokenByAscendingItemId) {
   EXPECT_EQ(list.EntryAt(4).item, 3u);
 }
 
-TEST(SortedListTest, LookupReturnsScoreAndPosition) {
-  SortedList list = SortedList::FromScores({0.2, 0.9, 0.5});
-  const ItemLookup lookup = list.Lookup(0);
-  EXPECT_DOUBLE_EQ(lookup.score, 0.2);
-  EXPECT_EQ(lookup.position, 3u);
-  EXPECT_EQ(list.PositionOf(1), 1u);
-  EXPECT_DOUBLE_EQ(list.ScoreOf(2), 0.5);
-}
-
-TEST(SortedListTest, PositionsAreOneBasedAndConsistent) {
-  SortedList list = SortedList::FromScores({0.1, 0.4, 0.3, 0.8});
-  for (Position p = 1; p <= list.size(); ++p) {
-    const ListEntry& e = list.EntryAt(p);
-    EXPECT_EQ(list.PositionOf(e.item), p);
-    EXPECT_DOUBLE_EQ(list.ScoreOf(e.item), e.score);
-  }
-}
-
 TEST(SortedListTest, MinMaxScore) {
   SortedList list = SortedList::FromScores({3.0, 1.0, 2.0});
   EXPECT_DOUBLE_EQ(list.MaxScore(), 3.0);
@@ -102,12 +84,6 @@ TEST(SortedListTest, EntryAtCheckedBounds) {
   EXPECT_TRUE(list.EntryAtChecked(3).status().IsOutOfRange());
 }
 
-TEST(SortedListTest, LookupCheckedUnknownItem) {
-  SortedList list = SortedList::FromScores({1.0, 2.0});
-  EXPECT_TRUE(list.LookupChecked(1).ok());
-  EXPECT_TRUE(list.LookupChecked(2).status().IsKeyError());
-}
-
 TEST(SortedListTest, EmptyList) {
   SortedList list;
   EXPECT_TRUE(list.empty());
@@ -118,7 +94,6 @@ TEST(SortedListTest, SingleItem) {
   SortedList list = SortedList::FromScores({3.5});
   EXPECT_EQ(list.size(), 1u);
   EXPECT_EQ(list.EntryAt(1).item, 0u);
-  EXPECT_EQ(list.PositionOf(0), 1u);
 }
 
 TEST(SortedListTest, NegativeScoresSupported) {
@@ -140,10 +115,6 @@ TEST(SortedListTest, LargeListRoundTrip) {
   // Descending order invariant.
   for (Position p = 2; p <= n; ++p) {
     ASSERT_GE(list.EntryAt(p - 1).score, list.EntryAt(p).score);
-  }
-  // Inverted index is total and consistent.
-  for (ItemId item = 0; item < n; ++item) {
-    ASSERT_EQ(list.EntryAt(list.PositionOf(item)).item, item);
   }
 }
 

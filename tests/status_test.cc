@@ -253,69 +253,12 @@ TEST(RejectionMessageTest, DistZeroWindowRows) {
                            "window_rows = 0"}));
 }
 
-TEST(RejectionMessageTest, DistRpcDeadlineNotPositive) {
-  DistOptions options;
-  options.rpc_deadline_ms = 0.0;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistBPA", 3),
-                          {"DistBPA", "rpc_deadline_ms", "finite and > 0",
-                           "rpc_deadline_ms = 0"}));
-}
-
-TEST(RejectionMessageTest, DistRetryBudgetBelowOne) {
-  DistOptions options;
-  options.rpc_max_attempts = 0;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistBPA", 3),
-                          {"DistBPA", "retry budget",
-                           "rpc_max_attempts must be >= 1",
-                           "rpc_max_attempts = 0"}));
-}
-
-TEST(RejectionMessageTest, DistHedgeFloorNotPositive) {
-  DistOptions options;
-  options.hedge_floor_ms = -1.0;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistTPUT", 3),
-                          {"DistTPUT", "hedge timeout floor",
-                           "hedge_floor_ms = -1"}));
-}
-
-TEST(RejectionMessageTest, DistHedgeMultiplierBelowOne) {
-  DistOptions options;
-  options.hedge_multiplier = 0.5;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistBPA", 3),
-                          {"DistBPA", "hedge_multiplier must be >= 1",
-                           "hedge_multiplier = 0.5"}));
-}
-
 TEST(RejectionMessageTest, DistReplicationFactorZero) {
   DistOptions options;
   options.replication_factor = 0;
   EXPECT_TRUE(MentionsAll(options.Validate("DistBPA", 3),
                           {"DistBPA", "replication_factor must be >= 1",
                            "replication_factor = 0"}));
-}
-
-TEST(RejectionMessageTest, DistBreakerFailuresZero) {
-  DistOptions options;
-  options.breaker_failures = 0;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistTPUT", 3),
-                          {"DistTPUT", "breaker_failures must be >= 1",
-                           "breaker_failures = 0"}));
-}
-
-TEST(RejectionMessageTest, DistBreakerOpenMsNegative) {
-  DistOptions options;
-  options.breaker_open_ms = -2.0;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistBPA", 3),
-                          {"DistBPA", "breaker_open_ms must be finite and >= 0",
-                           "breaker_open_ms = -2"}));
-}
-
-TEST(RejectionMessageTest, DistEwmaAlphaOutOfRange) {
-  DistOptions options;
-  options.ewma_alpha = 1.5;
-  EXPECT_TRUE(MentionsAll(options.Validate("DistTPUT", 3),
-                          {"DistTPUT", "ewma_alpha must be in (0, 1]",
-                           "ewma_alpha = 1.5"}));
 }
 
 TEST(RejectionMessageTest, TransportDropRateOutOfRange) {

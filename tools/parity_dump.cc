@@ -27,12 +27,13 @@
 // Ad-hoc workloads dump summation scoring only (the min-scorer fallback
 // sweeps the whole pool per stop check — prohibitive at large n).
 //
-// --algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput> restricts which algorithms are
-// dumped — an ad-hoc DRAM-scale fingerprint of one algorithm under test need
-// not pay for the other deep scanners (CA alone at n=1M costs seconds; all
-// three cost tens). It composes with either mode and does not by itself
-// select ad-hoc mode: with no flags at all the full grid over the default
-// three (nra, ca, tput) is dumped byte-identically to previous builds.
+// --algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput,fa,bpa2,naive> restricts which
+// algorithms are dumped — an ad-hoc DRAM-scale fingerprint of one algorithm
+// under test need not pay for the other deep scanners (CA alone at n=1M
+// costs seconds; all three cost tens). It composes with either mode and does
+// not by itself select ad-hoc mode: with no flags at all the full grid over
+// the default three (nra, ca, tput) is dumped byte-identically to previous
+// builds.
 //
 // dbpa/dtput run distributed BPA/TPUT through a Coordinator over per-list
 // in-process ListOwner shards; bpa is single-node BPA with seen-item
@@ -41,10 +42,10 @@
 // fingerprints match their single-node counterparts field for field, so
 // the certification diff is just a name rewrite:
 //
-//   diff <(./build/parity_dump --algos=bpa) \
-//        <(./build/parity_dump --algos=dbpa | sed s/dBPA/BPA/)
-//   diff <(./build/parity_dump --algos=tput) \
-//        <(./build/parity_dump --algos=dtput | sed s/dTPUT/TPUT/)
+//   ./build/parity_dump --algos=dbpa | sed s/dBPA/BPA/ |
+//       diff <(./build/parity_dump --algos=bpa) -
+//   ./build/parity_dump --algos=dtput | sed s/dTPUT/TPUT/ |
+//       diff <(./build/parity_dump --algos=tput) -
 //
 // (Only min-scorer TPUT lines differ: both engines reject non-summation
 // scoring with the same words, each naming itself in the message.)
@@ -54,8 +55,8 @@
 // never leave replica 0, so the dump is byte-identical to --replicas=1 —
 // diffing certifies the replication layer is invisible when healthy:
 //
-//   diff <(./build/parity_dump --algos=dbpa,dtput) \
-//        <(./build/parity_dump --algos=dbpa,dtput --replicas=2)
+//   ./build/parity_dump --algos=dbpa,dtput --replicas=2 |
+//       diff <(./build/parity_dump --algos=dbpa,dtput) -
 //
 // --window-rows=<w> (default 64) sets the distributed engines' window size:
 // rows per sorted window, and with it the rows whose random reads dBPA
@@ -74,6 +75,26 @@
 // `--governor=total=5000,pool-bytes=65536`; governed lines append the
 // completion and theta so anytime fingerprints are diffable too. Like
 // --algos it composes with either mode without selecting ad-hoc mode.
+//
+// fa, bpa2 and naive are the single-node FA, BPA2 and Naive. Two more flags
+// fingerprint the audit and fault flavours of the local read path; like
+// --governor they compose with either mode and apply to the single-node
+// entries only (the distributed ones have a transport fault model instead):
+//
+//  * --audit runs with audit_accesses and appends each list's maximum touch
+//    count (`touches=a,b,...`);
+//  * --faults=<spec> arms a fault plan and appends the dead lists, the
+//    absorbed retries and whether the run failed over to NRA. A <spec> is
+//    comma-separated key=value pairs over seed, transient and spike (rates),
+//    death (rate), death-min and death-max (the death window), kill (a list)
+//    and kill-after (its accesses), e.g. `--faults=kill=1,kill-after=40`.
+//
+// Audit and absorbed faults (transient and spike only) change no read, so
+// once the appended fields are stripped their dumps equal the plain one:
+//
+//   ./build/parity_dump --algos=bpa2 --faults=transient=0.2,spike=0.1 |
+//       sed 's/ dead=.* items=/ items=/' |
+//       diff <(./build/parity_dump --algos=bpa2) -
 
 #include <algorithm>
 #include <cmath>
@@ -91,6 +112,7 @@
 #include "dist/coordinator.h"
 #include "dist/in_process_transport.h"
 #include "gen/database_generator.h"
+#include "lists/fault_injection.h"
 #include "gen/paper_fixtures.h"
 #include "lists/scorer.h"
 
@@ -116,6 +138,9 @@ constexpr DumpAlgo kDumpAlgos[] = {
     {"ta", "TA", AlgorithmKind::kTa, false},
     {"dbpa", "dBPA", AlgorithmKind::kBpa, true},
     {"dtput", "dTPUT", AlgorithmKind::kTput, true},
+    {"fa", "FA", AlgorithmKind::kFa, false},
+    {"bpa2", "BPA2", AlgorithmKind::kBpa2, false},
+    {"naive", "Naive", AlgorithmKind::kNaive, false},
 };
 
 // The engines in fingerprint order; --algos restricts the dump to a subset
@@ -136,6 +161,29 @@ size_t g_replicas = 1;
 // Rows per window of the distributed engines (--window-rows).
 uint32_t g_window_rows = DistOptions{}.window_rows;
 
+// Audit mode (--audit) and the fault plan (--faults) of the single-node
+// entries; off by default.
+bool g_audit = false;
+FaultPlan g_faults;
+
+// Splits a comma-separated key=value spec, calling parse(key, value) on each
+// pair; false on a pair without '=' or one parse rejects.
+template <typename ParsePair>
+bool ParseSpec(const std::string& spec, const ParsePair& parse) {
+  size_t begin = 0;
+  while (begin <= spec.size()) {
+    const size_t comma = std::min(spec.find(',', begin), spec.size());
+    const std::string pair = spec.substr(begin, comma - begin);
+    const size_t eq = pair.find('=');
+    if (eq == std::string::npos ||
+        !parse(pair.substr(0, eq), pair.c_str() + eq + 1)) {
+      return false;
+    }
+    begin = comma + 1;
+  }
+  return true;
+}
+
 // Parses a --governor value: "off" or comma-separated key=value pairs
 // (deadline-ms, sorted, random, total, pool-bytes).
 bool ParseGovernor(const std::string& spec) {
@@ -143,34 +191,59 @@ bool ParseGovernor(const std::string& spec) {
     g_governor = GovernorLimits{};
     return true;
   }
-  size_t begin = 0;
-  while (begin <= spec.size()) {
-    const size_t comma = std::min(spec.find(',', begin), spec.size());
-    const std::string pair = spec.substr(begin, comma - begin);
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return false;
-    }
-    const std::string key = pair.substr(0, eq);
-    const char* value = pair.c_str() + eq + 1;
-    bool ok = false;
+  const auto parse = [](const std::string& key, const char* value) {
     if (key == "deadline-ms") {
-      ok = ParseFlagDouble(value, &g_governor.deadline_ms);
-    } else if (key == "sorted") {
-      ok = ParseFlagU64(value, &g_governor.sorted_access_budget);
-    } else if (key == "random") {
-      ok = ParseFlagU64(value, &g_governor.random_access_budget);
-    } else if (key == "total") {
-      ok = ParseFlagU64(value, &g_governor.total_access_budget);
-    } else if (key == "pool-bytes") {
-      ok = ParseFlagSize(value, &g_governor.pool_byte_budget);
+      return ParseFlagDouble(value, &g_governor.deadline_ms);
     }
-    if (!ok) {
-      return false;
+    if (key == "sorted") {
+      return ParseFlagU64(value, &g_governor.sorted_access_budget);
     }
-    begin = comma + 1;
-  }
-  return g_governor.enabled();
+    if (key == "random") {
+      return ParseFlagU64(value, &g_governor.random_access_budget);
+    }
+    if (key == "total") {
+      return ParseFlagU64(value, &g_governor.total_access_budget);
+    }
+    if (key == "pool-bytes") {
+      return ParseFlagSize(value, &g_governor.pool_byte_budget);
+    }
+    return false;
+  };
+  return ParseSpec(spec, parse) && g_governor.enabled();
+}
+
+// Parses a --faults value: comma-separated key=value pairs (seed, transient,
+// spike, death, death-min, death-max, kill, kill-after). The plan itself is
+// validated per run, so an invalid one dumps each engine's rejection.
+bool ParseFaults(const std::string& spec) {
+  const auto parse = [](const std::string& key, const char* value) {
+    if (key == "seed") {
+      return ParseFlagU64(value, &g_faults.seed);
+    }
+    if (key == "transient") {
+      return ParseFlagDouble(value, &g_faults.transient_rate);
+    }
+    if (key == "spike") {
+      return ParseFlagDouble(value, &g_faults.spike_rate);
+    }
+    if (key == "death") {
+      return ParseFlagDouble(value, &g_faults.death_rate);
+    }
+    if (key == "death-min") {
+      return ParseFlagU64(value, &g_faults.death_min_accesses);
+    }
+    if (key == "death-max") {
+      return ParseFlagU64(value, &g_faults.death_max_accesses);
+    }
+    if (key == "kill") {
+      return ParseFlagSize(value, &g_faults.kill_list);
+    }
+    if (key == "kill-after") {
+      return ParseFlagU64(value, &g_faults.kill_after_accesses);
+    }
+    return false;
+  };
+  return ParseSpec(spec, parse) && g_faults.enabled();
 }
 
 // Parses a comma-separated --algos value ("nra,ca", case-sensitive short
@@ -219,7 +292,7 @@ Database Quantize(const Database& db, double levels) {
                                          std::vector<Score>(db.num_lists()));
   for (ItemId item = 0; item < db.num_items(); ++item) {
     for (size_t i = 0; i < db.num_lists(); ++i) {
-      scores[item][i] = std::round(db.list(i).ScoreOf(item) * levels) / levels;
+      scores[item][i] = std::round(db.ItemScoresRow(item)[i] * levels) / levels;
     }
   }
   return Database::FromScoreMatrix(scores).ValueOrDie();
@@ -248,6 +321,8 @@ void DumpOne(const char* workload, const Database& db, size_t k,
   AlgorithmOptions options;
   options.score_floor = DeriveScoreFloor(db);
   options.governor = g_governor;
+  options.audit_accesses = g_audit;
+  options.fault_plan = g_faults;
   for (const DumpAlgo* algo : g_algos) {
     AlgorithmOptions run_options = options;
     // Single-node BPA's access-count twin of the distributed rows (dbpa
@@ -274,11 +349,26 @@ void DumpOne(const char* workload, const Database& db, size_t k,
     // Governed lines append the completion + certificate; with the governor
     // off the format (and so the whole dump) stays byte-identical to the
     // historical fingerprint.
-    std::string governed;
+    std::string appended;
     if (g_governor.enabled()) {
       std::snprintf(buf, sizeof(buf), " completion=%s theta=%.17g",
                     ToString(r.completion), r.theta);
-      governed = buf;
+      appended = buf;
+    }
+    // Audited and faulted lines append their fields the same way.
+    if (g_audit && !algo->dist) {
+      appended += " touches=";
+      for (size_t i = 0; i < r.max_touches_per_list.size(); ++i) {
+        appended += (i == 0 ? "" : ",") +
+                    std::to_string(r.max_touches_per_list[i]);
+      }
+    }
+    if (g_faults.enabled() && !algo->dist) {
+      std::snprintf(buf, sizeof(buf), " dead=%u retries=%llu failed_over=%d",
+                    r.dead_lists,
+                    static_cast<unsigned long long>(r.fault_retries),
+                    r.failed_over ? 1 : 0);
+      appended += buf;
     }
     std::printf(
         "%s k=%zu f=%s %s: stop=%u as=%llu ar=%llu ad=%llu%s items=%s\n",
@@ -286,7 +376,7 @@ void DumpOne(const char* workload, const Database& db, size_t k,
         static_cast<unsigned long long>(r.stats.sorted_accesses),
         static_cast<unsigned long long>(r.stats.random_accesses),
         static_cast<unsigned long long>(r.stats.direct_accesses),
-        governed.c_str(), items.c_str());
+        appended.c_str(), items.c_str());
   }
 }
 
@@ -417,6 +507,18 @@ int main(int argc, char** argv) {
       ok &= topk::ParseGovernor(v);
       continue;
     }
+    if (arg == "--audit") {
+      // Audits every single-node execution; an audited full-grid dump is
+      // legal.
+      topk::g_audit = true;
+      continue;
+    }
+    if (const char* v = value_of(arg, "--faults", &i)) {
+      // Arms a fault plan for every single-node execution; like --governor
+      // it does not select ad-hoc mode.
+      ok &= topk::ParseFaults(v);
+      continue;
+    }
     if (const char* v = value_of(arg, "--replicas", &i)) {
       // Replicates the distributed engines' owners; a replicated full-grid
       // dump is legal (and byte-identical — that is the point).
@@ -454,10 +556,13 @@ int main(int argc, char** argv) {
                  "usage: parity_dump [--n=<items>] [--m=<lists>]"
                  " [--k=<answers>] [--seed=<rng>]"
                  " [--dist={uniform,gaussian,correlated,zipf}]"
-                 " [--algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput>]"
+                 " [--algos=<csv of nra,ca,tput,bpa,ta,dbpa,dtput,fa,bpa2,"
+                 "naive>]"
                  " [--governor=off|<key=value,...>] [--replicas=<R>]"
-                 " [--window-rows=<w>]\n"
+                 " [--window-rows=<w>] [--audit] [--faults=<key=value,...>]\n"
                  "governor keys: deadline-ms sorted random total pool-bytes\n"
+                 "fault keys: seed transient spike death death-min death-max"
+                 " kill kill-after\n"
                  "with no workload flags, dumps the built-in grid\n");
     return 1;
   }
