@@ -141,7 +141,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
     if (signature != bp_signature) {
       bp_signature = signature;
       for (size_t i = 0; i < m; ++i) {
-        local[i] = io.ScoreAt(i, tracker(i).best_position());
+        local[i] = BestPositionScore(io, i, tracker(i).best_position());
       }
       lambda = scorer.Combine(local.data(), m);
     }

@@ -45,6 +45,15 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   TopKBuffer& buffer = context->buffer();
   std::vector<Score>& local = context->local_scores();
   std::vector<Score>& last_scores = context->last_scores();  // TA's δ
+  if constexpr (kTa && IoT::kFaultAware) {
+    // A list can die before its first sorted read and then never writes its
+    // cursor score; seed every cursor with the list maximum (an uncounted,
+    // decision-free metadata read, as in NRA, CA and FA) so δ stays sound
+    // instead of reading whatever the previous run left in the buffer.
+    for (size_t i = 0; i < m; ++i) {
+      last_scores[i] = io.MaxScore(i);
+    }
+  }
   // Overall scores already resolved; used only when memoization is on (the
   // paper's accounting model re-issues the random accesses, see Lemma 2).
   ScoreMemo* resolved = memoize ? &context->PrepareMemo(n) : nullptr;
@@ -216,7 +225,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
       if (signature != bp_signature) {
         bp_signature = signature;
         for (size_t i = 0; i < m; ++i) {
-          local[i] = io.ScoreAt(i, tracker(i).best_position());
+          local[i] = BestPositionScore(io, i, tracker(i).best_position());
         }
         threshold = scorer.Combine(local.data(), m);
       }

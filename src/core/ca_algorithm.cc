@@ -44,7 +44,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // what amortizes the min side's per-registration entry pushes.
   constexpr bool kSumPath = std::is_same_v<ScorerT, SumScorer>;
   CandidatePool& pool =
-      context->PreparePool(m, query.k, options.score_floor,
+      context->PreparePool(n, m, query.k, options.score_floor,
                            /*eager_groups=*/kSumPath, /*dual_heap=*/kSumPath);
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
@@ -97,7 +97,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const TopKQuery& query,
             break;
           }
         }
-        // Probe-cell prefetch pipelining — uncounted, decision-free; see
+        // Index-cell prefetch pipelining — uncounted, decision-free; see
         // nra_loop.h.
         if (d + kPrefetchRowsAhead <= n) {
           pool.PrefetchItem(io.PeekItem(i, d + kPrefetchRowsAhead));

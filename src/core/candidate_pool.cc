@@ -20,15 +20,15 @@ inline size_t HashMask(uint64_t mask) {
   return static_cast<size_t>(mask);
 }
 
-constexpr size_t kInitialTableSize = 1024;      // power of two
-constexpr size_t kInitialMaskTableSize = 128;   // power of two
+constexpr size_t kInitialMaskTableSize = 128;  // power of two
 
 }  // namespace
 
-void CandidatePool::Reset(size_t m, size_t k, Score floor, bool eager_groups,
-                          bool dual_heap) {
+void CandidatePool::Reset(size_t n, size_t m, size_t k, Score floor,
+                          bool eager_groups, bool dual_heap) {
   assert(m >= 1 && m <= kMaxLists);
   assert(eager_groups || !dual_heap);  // a lazy index is never peeled
+  n_ = n;
   m_ = m;
   k_ = k;
   floor_ = floor;
@@ -38,10 +38,9 @@ void CandidatePool::Reset(size_t m, size_t k, Score floor, bool eager_groups,
   peak_size_ = 0;
   heap_.clear();
   num_groups_ = 0;
-  if (table_.empty()) {
-    table_.resize(arena_, kInitialTableSize,
-                  TableCell{kInvalidItem, kNoSlot, 0});
-    table_mask_ = kInitialTableSize - 1;
+  if (index_.size() < n) {
+    // One n-cell span, sized once per larger n (stamp 0 is never live).
+    index_.assign(arena_, n, IndexCell{kNoSlot, 0});
   }
   if (mask_table_masks_.empty()) {
     mask_table_masks_.resize(arena_, kInitialMaskTableSize, 0);
@@ -52,7 +51,7 @@ void CandidatePool::Reset(size_t m, size_t k, Score floor, bool eager_groups,
   // Epoch 0 is reserved as "never valid"; on wrap fall back to one eager
   // clear (every 2^32 - 1 resets).
   if (++epoch_ == 0) {
-    for (TableCell& cell : table_) {
+    for (IndexCell& cell : index_) {
       cell.stamp = 0;
     }
     std::fill(mask_table_stamps_.begin(), mask_table_stamps_.end(), 0u);
@@ -60,76 +59,12 @@ void CandidatePool::Reset(size_t m, size_t k, Score floor, bool eager_groups,
   }
 }
 
-size_t CandidatePool::TableProbe(ItemId item) const {
-  size_t cell = HashItem(item) & table_mask_;
-  while (table_[cell].stamp == epoch_ && table_[cell].item != item) {
-    cell = (cell + 1) & table_mask_;
-  }
-  return cell;
-}
-
-uint32_t CandidatePool::FindSlot(ItemId item) const {
-  const size_t cell = TableProbe(item);
-  return table_[cell].stamp == epoch_ ? table_[cell].slot : kNoSlot;
-}
-
-void CandidatePool::TableInsert(ItemId item, uint32_t slot) {
-  const size_t cell = TableProbe(item);
-  table_[cell] = TableCell{item, slot, epoch_};
-}
-
-void CandidatePool::TableErase(ItemId item) {
-  size_t hole = TableProbe(item);
-  if (table_[hole].stamp != epoch_) {
-    return;
-  }
-  // Backward-shift deletion (no tombstones): slide later entries of the probe
-  // chain into the hole whenever the hole lies on their probe path.
-  table_[hole].stamp = 0;
-  size_t cur = (hole + 1) & table_mask_;
-  while (table_[cur].stamp == epoch_) {
-    const size_t ideal = HashItem(table_[cur].item) & table_mask_;
-    const size_t displacement = (cur - ideal) & table_mask_;
-    const size_t hole_distance = (cur - hole) & table_mask_;
-    if (displacement >= hole_distance) {
-      table_[hole] = table_[cur];
-      table_[cur].stamp = 0;
-      hole = cur;
-    }
-    cur = (cur + 1) & table_mask_;
-  }
-}
-
-void CandidatePool::TableGrow() {
-  const size_t new_size = table_.size() * 2;
-  table_.assign(arena_, new_size, TableCell{kInvalidItem, kNoSlot, 0});
-  table_mask_ = new_size - 1;
-  for (uint32_t slot = 0; slot < size_; ++slot) {
-    TableInsert(items_[slot], slot);
-  }
-}
-
-uint32_t CandidatePool::FindOrInsert(ItemId item) {
-  {
-    const size_t cell = TableProbe(item);
-    if (table_[cell].stamp == epoch_) {
-      return table_[cell].slot;
-    }
-  }
-  // Keep the load factor <= 1/2 so probe chains stay short.
-  if (2 * (size_ + 1) > table_.size()) {
-    TableGrow();
-  }
+uint32_t CandidatePool::Insert(ItemId item) {
   const uint32_t slot = static_cast<uint32_t>(size_++);
   peak_size_ = std::max(peak_size_, size_);
-  if (slot == items_.size()) {
-    const size_t grown = std::max<size_t>(64, items_.size() * 2);
-    items_.resize(arena_, grown);
-    masks_.resize(arena_, grown);
-    known_.resize(arena_, grown);
-    lowers_.resize(arena_, grown);
-    heap_pos_.resize(arena_, grown);
-    group_of_.resize(arena_, grown);
+  if (slot == slots_.size()) {
+    const size_t grown = std::max<size_t>(64, slots_.size() * 2);
+    slots_.resize(arena_, grown);
     group_pos_.resize(arena_, grown);
     births_.resize(arena_, grown);
   }
@@ -137,15 +72,11 @@ uint32_t CandidatePool::FindOrInsert(ItemId item) {
     rows_.resize(arena_,
                  std::max(rows_.size() * 2, static_cast<size_t>(size_) * m_));
   }
-  items_[slot] = item;
-  masks_[slot] = 0;
-  known_[slot] = 0;
-  lowers_[slot] = -std::numeric_limits<Score>::infinity();
-  heap_pos_[slot] = kNoSlot;
-  group_of_[slot] = kNoGroup;
+  slots_[slot] = Slot{/*mask=*/0, -std::numeric_limits<Score>::infinity(),
+                      item, /*known=*/0, kNoSlot, kNoGroup};
   births_[slot] = 0;  // never a live min entry until the first registration
   std::fill_n(&rows_[static_cast<size_t>(slot) * m_], m_, floor_);
-  TableInsert(item, slot);
+  index_[item] = IndexCell{slot, epoch_};
   return slot;
 }
 
@@ -158,11 +89,11 @@ void CandidatePool::SiftUp(size_t pos) {
       break;
     }
     heap_[pos] = heap_[parent];
-    heap_pos_[heap_[pos]] = static_cast<uint32_t>(pos);
+    slots_[heap_[pos]].heap_pos = static_cast<uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = slot;
-  heap_pos_[slot] = static_cast<uint32_t>(pos);
+  slots_[slot].heap_pos = static_cast<uint32_t>(pos);
 }
 
 void CandidatePool::SiftDown(size_t pos) {
@@ -182,11 +113,11 @@ void CandidatePool::SiftDown(size_t pos) {
       break;
     }
     heap_[pos] = heap_[child];
-    heap_pos_[heap_[pos]] = static_cast<uint32_t>(pos);
+    slots_[heap_[pos]].heap_pos = static_cast<uint32_t>(pos);
     pos = child;
   }
   heap_[pos] = slot;
-  heap_pos_[slot] = static_cast<uint32_t>(pos);
+  slots_[slot].heap_pos = static_cast<uint32_t>(pos);
 }
 
 // --- mask groups ---
@@ -323,7 +254,7 @@ void CandidatePool::MinRebuild(Group& group) {
   ArenaVec<MinEntry>& entries = group.min_entries;
   entries.clear();
   for (uint32_t slot : group.members) {
-    entries.push_back(arena_, MinEntry{lowers_[slot], items_[slot],
+    entries.push_back(arena_, MinEntry{slots_[slot].lower, slots_[slot].item,
                                        births_[slot]});
   }
   if (entries.size() > 1) {
@@ -350,10 +281,10 @@ void CandidatePool::PushGroupMin(size_t g, const MinEntry& entry) {
 }
 
 void CandidatePool::GroupInsert(uint32_t slot) {
-  assert(group_of_[slot] == kNoGroup && !InHeap(slot));
-  const uint32_t g = FindOrCreateGroup(masks_[slot]);
+  assert(slots_[slot].group == kNoGroup && !InHeap(slot));
+  const uint32_t g = FindOrCreateGroup(slots_[slot].mask);
   Group& group = groups_[g];
-  group_of_[slot] = g;
+  slots_[slot].group = g;
   group_pos_[slot] = static_cast<uint32_t>(group.members.size());
   group.members.push_back(arena_, slot);
   GroupSiftUp(group, group.members.size() - 1);
@@ -362,7 +293,7 @@ void CandidatePool::GroupInsert(uint32_t slot) {
     // pushed here is the registration's single live representative.
     births_[slot] = ++birth_counter_;
     group.min_entries.push_back(
-        arena_, MinEntry{lowers_[slot], items_[slot], births_[slot]});
+        arena_, MinEntry{slots_[slot].lower, slots_[slot].item, births_[slot]});
     MinSiftUp(group.min_entries, group.min_entries.size() - 1);
     // Stale entries outnumber live members: compact them away. (The peels
     // also discard stale entries as they pop them; this bound covers groups
@@ -374,10 +305,10 @@ void CandidatePool::GroupInsert(uint32_t slot) {
 }
 
 void CandidatePool::GroupRemove(uint32_t slot) {
-  const uint32_t g = group_of_[slot];
+  const uint32_t g = slots_[slot].group;
   assert(g != kNoGroup);
   Group& group = groups_[g];
-  group_of_[slot] = kNoGroup;
+  slots_[slot].group = kNoGroup;
   const size_t pos = group_pos_[slot];
   const uint32_t last = group.members.back();
   group.members.pop_back();
@@ -398,14 +329,14 @@ void CandidatePool::GroupRemove(uint32_t slot) {
 
 void CandidatePool::OfferLower(uint32_t slot, Score lower) {
   assert(slot < size_);
-  assert(lower >= lowers_[slot]);  // knowledge only accumulates
+  assert(lower >= slots_[slot].lower);  // knowledge only accumulates
   // Deregister under the stale key before the bound (and thus the heap key)
   // changes; the slot is re-registered below unless it enters the heap.
-  if (group_of_[slot] != kNoGroup) {
+  if (slots_[slot].group != kNoGroup) {
     GroupRemove(slot);
   }
-  lowers_[slot] = lower;
-  const uint32_t pos = heap_pos_[slot];
+  slots_[slot].lower = lower;
+  const uint32_t pos = slots_[slot].heap_pos;
   if (pos != kNoSlot) {
     // The member's key grew: in a weakest-at-root heap it moves toward the
     // leaves.
@@ -425,9 +356,9 @@ void CandidatePool::OfferLower(uint32_t slot, Score lower) {
   }
   const uint32_t weakest = heap_.front();
   if (Weaker(KeyOf(weakest), KeyOf(slot))) {
-    heap_pos_[weakest] = kNoSlot;
+    slots_[weakest].heap_pos = kNoSlot;
     heap_[0] = slot;
-    heap_pos_[slot] = 0;
+    slots_[slot].heap_pos = 0;
     SiftDown(0);
     if (eager_groups_) {
       // The displaced member leaves the answer set and becomes a regular
@@ -443,7 +374,7 @@ void CandidatePool::OfferLower(uint32_t slot, Score lower) {
 
 void CandidatePool::BuildGroups() {
   for (uint32_t slot = 0; slot < size_; ++slot) {
-    if (!InHeap(slot) && group_of_[slot] == kNoGroup) {
+    if (!InHeap(slot) && slots_[slot].group == kNoGroup) {
       GroupInsert(slot);
     }
   }
@@ -464,34 +395,30 @@ void CandidatePool::AppendHeapItems(std::vector<ItemId>* out) const {
 void CandidatePool::Erase(uint32_t slot) {
   assert(slot < size_);
   assert(!InHeap(slot));
-  if (group_of_[slot] != kNoGroup) {
+  if (slots_[slot].group != kNoGroup) {
     GroupRemove(slot);
   }
-  TableErase(items_[slot]);
+  index_[slots_[slot].item].stamp = 0;
   const uint32_t last = static_cast<uint32_t>(--size_);
   if (slot == last) {
     return;
   }
-  items_[slot] = items_[last];
-  masks_[slot] = masks_[last];
-  known_[slot] = known_[last];
-  lowers_[slot] = lowers_[last];
+  slots_[slot] = slots_[last];
+  const Slot& moved = slots_[slot];
   std::copy_n(&rows_[static_cast<size_t>(last) * m_], m_,
               &rows_[static_cast<size_t>(slot) * m_]);
-  heap_pos_[slot] = heap_pos_[last];
-  if (heap_pos_[slot] != kNoSlot) {
-    heap_[heap_pos_[slot]] = slot;
+  if (moved.heap_pos != kNoSlot) {
+    heap_[moved.heap_pos] = slot;
   }
-  group_of_[slot] = group_of_[last];
   group_pos_[slot] = group_pos_[last];
   // The min side needs no fixup: entries reference (item, stamp), not slots,
   // and both move with the candidate.
   births_[slot] = births_[last];
-  if (group_of_[slot] != kNoGroup) {
-    groups_[group_of_[slot]].members[group_pos_[slot]] = slot;
+  if (moved.group != kNoGroup) {
+    groups_[moved.group].members[group_pos_[slot]] = slot;
   }
   // Retarget the moved item's index cell at its new slot.
-  table_[TableProbe(items_[slot])].slot = slot;
+  index_[moved.item].slot = slot;
 }
 
 }  // namespace topk

@@ -4,17 +4,20 @@
 // no-random-access algorithm family (NRA, CA, TPUT).
 //
 // The pool replaces the per-query `std::unordered_map<ItemId, Candidate>` the
-// seed implementations built: one open-addressing item→slot index (epoch
-// stamped, so a reset is an O(1) epoch bump instead of a table clear) over a
-// contiguous structure-of-arrays candidate store — per slot the m local
-// scores (unknown cells pre-filled with the query's score floor), the
-// seen-list bit mask, the known-list count and the cached lower bound. All
-// storage is retained across queries and only ever grows, so a warmed pool
-// serves an unbounded query stream without touching the heap allocator. At
-// DRAM-resident n the arrays span tens of megabytes of randomly probed
-// memory, so they live on the pool's own mmap'd arena with hugepage-advised
-// chunks above a size threshold (see core/pool_arena.h) — the same TLB
-// treatment the Database's item-major mirror gets.
+// seed implementations built: a direct item→slot index (one epoch-stamped
+// {slot, stamp} cell per item id of [0, n), so a lookup is one load and a
+// reset is an O(1) epoch bump instead of a table clear) over a dense
+// candidate store — per slot one packed 32-byte record (item, seen-list bit
+// mask, known-list count, cached lower bound, heap and group backlinks) plus
+// the m local scores (unknown cells pre-filled with the query's score
+// floor). Recording a sorted row touches the index cell, the record and the
+// score row: three or four cache lines. All storage is retained across
+// queries and only ever grows, so a warmed pool serves an unbounded query
+// stream without touching the heap allocator. At DRAM-resident n the arrays
+// span tens of megabytes of randomly probed memory, so they live on the
+// pool's own mmap'd arena with hugepage-advised chunks above a size
+// threshold (see core/pool_arena.h) — the same TLB treatment the Database's
+// item-major mirror gets.
 //
 // On top of the store sit two index structures:
 //
@@ -105,11 +108,13 @@ class CandidatePool {
   CandidatePool(const CandidatePool&) = delete;
   CandidatePool& operator=(const CandidatePool&) = delete;
 
-  /// Forgets all candidates and reconfigures for a query over `m` lists with
-  /// a threshold heap of size `k`; `floor` pre-fills unknown score cells (the
-  /// paper's lower-bound contribution for unseen lists). O(1) amortized: the
-  /// item→slot and mask→group indexes are invalidated by an epoch bump, not
-  /// cleared.
+  /// Forgets all candidates and reconfigures for a query over `n` items (ids
+  /// in [0, n)) and `m` lists with a threshold heap of size `k`; `floor`
+  /// pre-fills unknown score cells (the paper's lower-bound contribution for
+  /// unseen lists). O(1) amortized: the item→slot and mask→group indexes are
+  /// invalidated by an epoch bump, not cleared. The item→slot index is sized
+  /// from `n` on the first query and grows (one fresh n-cell span) only when
+  /// a later query's n is larger.
   ///
   /// `eager_groups` selects when the group index is maintained: eagerly on
   /// every OfferLower (NRA/CA, whose checks run against the groups every few
@@ -129,8 +134,8 @@ class CandidatePool {
   /// NRA runs max-side-only and compacts with the max-side walk. Requires
   /// eager_groups (a lazily-built index is read strongest-first once and
   /// never peeled).
-  void Reset(size_t m, size_t k, Score floor, bool eager_groups = true,
-             bool dual_heap = false);
+  void Reset(size_t n, size_t m, size_t k, Score floor,
+             bool eager_groups = true, bool dual_heap = false);
 
   /// Registers every candidate outside the threshold heap in the group of
   /// its current mask (O(size) total). The one-shot complement of
@@ -149,7 +154,7 @@ class CandidatePool {
 
   size_t num_lists() const { return m_; }
 
-  /// Approximate bytes of live candidate state: the SoA row (m scores) plus
+  /// Approximate bytes of live candidate state: the score row (m scores) plus
   /// fixed per-slot bookkeeping, times the current candidate count. This is
   /// what the governor's pool_byte_budget meters — the footprint of *this*
   /// query's candidates, deliberately not the arena capacity a warmed
@@ -159,30 +164,40 @@ class CandidatePool {
   }
 
   /// Per-slot bookkeeping outside the score row: item id, seen mask, lower
-  /// bound, heap/group positions and the group-index entries (see the flat
-  /// arrays below).
+  /// bound, heap/group positions and the group-index entries (see the slot
+  /// record below). The item→slot index is not metered: it is sized by n,
+  /// not by the candidates.
   static constexpr size_t kSlotOverheadBytes =
       sizeof(ItemId) + sizeof(uint64_t) + sizeof(Score) + 4 * sizeof(uint32_t);
 
   bool Contains(ItemId item) const { return FindSlot(item) != kNoSlot; }
 
-  /// Slot of `item`, or kNoSlot if the item is not a candidate.
-  uint32_t FindSlot(ItemId item) const;
-
-  /// Pulls `item`'s primary probe cell toward the cache. The run loops call
-  /// this for the item of the sorted row a few iterations ahead of use
-  /// (decision-free and uncounted, like the TA/BPA mirror prefetches): at
-  /// DRAM-resident n the open-addressing table spans tens of MB, so the
-  /// FindOrInsert probe is otherwise a guaranteed stall per access. The
-  /// whole probe cell (item, slot, stamp) is one 12-byte struct — one line,
-  /// one prefetch.
-  void PrefetchItem(ItemId item) const {
-    __builtin_prefetch(&table_[HashItem(item) & table_mask_]);
+  /// Slot of `item`, or kNoSlot if the item is not a candidate (including
+  /// every id at or past the query's n).
+  uint32_t FindSlot(ItemId item) const {
+    if (item >= n_) {
+      return kNoSlot;
+    }
+    const IndexCell cell = index_[item];
+    return cell.stamp == epoch_ ? cell.slot : kNoSlot;
   }
+
+  /// Pulls `item`'s index cell toward the cache. The run loops call this for
+  /// the item of the sorted row a few iterations ahead of use (decision-free
+  /// and uncounted, like the TA/BPA mirror prefetches): at DRAM-resident n
+  /// the index spans megabytes, so the FindOrInsert lookup is otherwise a
+  /// guaranteed stall per access. The cell (slot, stamp) is 8 bytes — one
+  /// line, one prefetch. `item` must be below the query's n.
+  void PrefetchItem(ItemId item) const { __builtin_prefetch(&index_[item]); }
 
   /// Slot of `item`, inserting a fresh candidate (floor-filled row, empty
   /// mask, lower bound -inf, in neither the heap nor any group) if absent.
-  uint32_t FindOrInsert(ItemId item);
+  /// `item` must be below the query's n.
+  uint32_t FindOrInsert(ItemId item) {
+    assert(item < n_);
+    const IndexCell cell = index_[item];
+    return cell.stamp == epoch_ ? cell.slot : Insert(item);
+  }
 
   /// Records list `list_index`'s local score of the candidate. Returns true
   /// if the list was newly seen (mask bit set now), false if it was already
@@ -193,23 +208,24 @@ class CandidatePool {
   /// calls for this candidate is done (re-grouping it under the new mask).
   bool SetSeen(uint32_t slot, size_t list_index, Score score) {
     assert(slot < size_ && list_index < m_);
+    Slot& record = slots_[slot];
     const uint64_t bit = uint64_t{1} << list_index;
-    if (masks_[slot] & bit) {
+    if (record.mask & bit) {
       return false;
     }
-    if (group_of_[slot] != kNoGroup) {
+    if (record.group != kNoGroup) {
       GroupRemove(slot);
     }
-    masks_[slot] |= bit;
+    record.mask |= bit;
     rows_[static_cast<size_t>(slot) * m_ + list_index] = score;
-    ++known_[slot];
+    ++record.known;
     return true;
   }
 
-  ItemId item_at(uint32_t slot) const { return items_[slot]; }
-  uint64_t mask(uint32_t slot) const { return masks_[slot]; }
-  uint32_t known_count(uint32_t slot) const { return known_[slot]; }
-  bool fully_known(uint32_t slot) const { return known_[slot] == m_; }
+  ItemId item_at(uint32_t slot) const { return slots_[slot].item; }
+  uint64_t mask(uint32_t slot) const { return slots_[slot].mask; }
+  uint32_t known_count(uint32_t slot) const { return slots_[slot].known; }
+  bool fully_known(uint32_t slot) const { return slots_[slot].known == m_; }
 
   /// The candidate's m local scores; cells of unseen lists hold the floor,
   /// so Scorer::Combine over the row is exactly the paper's lower bound.
@@ -235,21 +251,21 @@ class CandidatePool {
 
   /// The k-th best (i.e. weakest heap member's) lower bound — the paper's
   /// stopping/pruning threshold. Requires heap_size() > 0.
-  Score KthLower() const { return lowers_[heap_.front()]; }
+  Score KthLower() const { return slots_[heap_.front()].lower; }
 
   /// Item id of the weakest heap member (largest id among candidates tied at
   /// KthLower() — the boundary of the deterministic result order). Requires
   /// heap_size() > 0.
-  ItemId KthItem() const { return items_[heap_.front()]; }
+  ItemId KthItem() const { return slots_[heap_.front()].item; }
 
-  bool InHeap(uint32_t slot) const { return heap_pos_[slot] != kNoSlot; }
+  bool InHeap(uint32_t slot) const { return slots_[slot].heap_pos != kNoSlot; }
 
   /// The heap members' slots in heap order (callers that need the ≤ k
   /// current-answer candidates — CA's victim selection, TPUT's phase 3 —
   /// scan this directly; heap members are not in any group).
   const ArenaVec<uint32_t>& heap_slots() const { return heap_; }
 
-  Score lower(uint32_t slot) const { return lowers_[slot]; }
+  Score lower(uint32_t slot) const { return slots_[slot].lower; }
 
   /// Appends the heap members' items ordered by (lower bound desc, item id
   /// asc). Allocation-free once the internal scratch has warmed up.
@@ -304,7 +320,7 @@ class CandidatePool {
   /// True iff the entry refers to a currently registered member (its stamp
   /// still matches — stamps are unique per (de)registration within a query,
   /// so a match certifies the member is registered, in the group the entry
-  /// was pushed into, with lowers_[slot] bit-identical to entry.lower).
+  /// was pushed into, with its lower bound bit-identical to entry.lower).
   bool MinEntryLive(const MinEntry& entry) const {
     const uint32_t slot = FindSlot(entry.item);
     return slot != kNoSlot && births_[slot] == entry.birth;
@@ -333,7 +349,7 @@ class CandidatePool {
 
   /// Group the slot is registered in, or kNoGroup for threshold-heap members
   /// and candidates whose OfferLower is still pending after SetSeen.
-  uint32_t group_of(uint32_t slot) const { return group_of_[slot]; }
+  uint32_t group_of(uint32_t slot) const { return slots_[slot].group; }
 
   // --- arena introspection (see core/pool_arena.h) ---
 
@@ -349,13 +365,6 @@ class CandidatePool {
     ItemId item;
   };
 
-  // Finalizing multiplicative hash over a 32-bit item id (same family as
-  // TopKBuffer's). In the header so PrefetchItem inlines into the run loops.
-  static size_t HashItem(ItemId item) {
-    uint32_t h = item * 2654435761u;
-    h ^= h >> 16;
-    return h;
-  }
   // `a` strictly weaker than `b`: smaller bound, or equal bound and larger
   // item id (mirrors TopKBuffer's deterministic tie-break).
   static bool Weaker(const Key& a, const Key& b) {
@@ -364,15 +373,15 @@ class CandidatePool {
     }
     return a.item > b.item;
   }
-  Key KeyOf(uint32_t slot) const { return Key{lowers_[slot], items_[slot]}; }
+  Key KeyOf(uint32_t slot) const {
+    return Key{slots_[slot].lower, slots_[slot].item};
+  }
 
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
 
-  size_t TableProbe(ItemId item) const;
-  void TableInsert(ItemId item, uint32_t slot);
-  void TableErase(ItemId item);
-  void TableGrow();
+  /// FindOrInsert's miss path: appends a fresh candidate for `item`.
+  uint32_t Insert(ItemId item);
 
   // One per-mask candidate group: the member slots form a strongest-at-root
   // binary heap in `members`; in eager mode `min_entries` holds the
@@ -408,6 +417,7 @@ class CandidatePool {
   void MinRebuild(Group& group);
   void MaskTableGrow();
 
+  size_t n_ = 0;  // the query's item count: ids are in [0, n_)
   size_t m_ = 0;
   size_t k_ = 0;
   Score floor_ = 0.0;
@@ -422,14 +432,24 @@ class CandidatePool {
   // destruction.
   PoolArena arena_;
 
-  // SoA candidate store, indexed by slot < size_.
-  ArenaVec<ItemId> items_;
-  ArenaVec<uint64_t> masks_;
-  ArenaVec<uint32_t> known_;
-  ArenaVec<Score> lowers_;
-  ArenaVec<Score> rows_;        // size_ * m_, strided by m_
-  ArenaVec<uint32_t> heap_pos_;  // slot -> heap index, kNoSlot if outside
-  ArenaVec<uint32_t> group_of_;  // slot -> group index, kNoGroup if none
+  // The per-slot fields that every record, offer and heap or group sift
+  // reads, packed into one record: two records per 64-byte line (arena
+  // spans are 64-byte aligned), so a slot's bookkeeping costs one cache
+  // line, not one per field.
+  struct Slot {
+    uint64_t mask;
+    Score lower;
+    ItemId item;
+    uint32_t known;     // number of set mask bits
+    uint32_t heap_pos;  // index in heap_, kNoSlot if outside
+    uint32_t group;     // group index, kNoGroup if none
+  };
+  static_assert(sizeof(Slot) == 32, "two slot records per cache line");
+
+  // Candidate store, indexed by slot < size_. Only group surgery and CA's
+  // min side touch group_pos_ and births_, so they stay out of the record.
+  ArenaVec<Slot> slots_;
+  ArenaVec<Score> rows_;          // size_ * m_, strided by m_
   ArenaVec<uint32_t> group_pos_;  // slot -> index in its group's max heap
   // Registration stamp of the slot: bumped on every group (de)registration,
   // so a min-side entry is live iff its stored stamp still matches. The
@@ -439,18 +459,16 @@ class CandidatePool {
   ArenaVec<uint64_t> births_;
   uint64_t birth_counter_ = 0;
 
-  // Open-addressing item→slot index; a cell is live iff its stamp equals the
-  // current epoch, so Reset never touches the table. The three fields live
-  // in one packed 12-byte cell: a probe reads item, stamp and slot from one
-  // cache line instead of three parallel arrays (three lines — measured on
-  // the probe-bound NRA/TPUT n=1M loops).
-  struct TableCell {
-    ItemId item;
+  // Direct item→slot index, one cell per item id (item ids are dense in
+  // [0, n): the Database guarantees it, and the coordinator rejects reply
+  // items at or past n). A cell is live iff its stamp equals the current
+  // epoch, so Reset never touches the index; an erase zeroes the stamp.
+  // Sized from the largest n seen so far, never from the candidate count.
+  struct IndexCell {
     uint32_t slot;
     uint32_t stamp;
   };
-  ArenaVec<TableCell> table_;
-  size_t table_mask_ = 0;
+  ArenaVec<IndexCell> index_;
   uint32_t epoch_ = 0;
 
   // Min-heap of slots: front = weakest of the k best (lower, item) pairs.

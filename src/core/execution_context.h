@@ -153,7 +153,7 @@ class ExecutionContext {
   }
 
   /// The flat candidate pool of the no-random-access family (NRA/CA/TPUT),
-  /// reset for a query of `k` over `m` lists with the given score floor.
+  /// reset for a query of `k` over `m` lists of `n` items at score `floor`.
   /// O(1) reset via epoch stamping; storage — including the pool's mmap'd,
   /// hugepage-advised arena (core/pool_arena.h) — is retained across
   /// queries, so a warmed context sizes itself to the workload once and then
@@ -163,10 +163,10 @@ class ExecutionContext {
   /// for TPUT's single phase-3 filter. `dual_heap` adds the min side CA's
   /// per-stop-check prune peels (a per-registration cost only its peel
   /// frequency justifies — NRA and TPUT leave it off).
-  CandidatePool& PreparePool(size_t m, size_t k, Score floor,
+  CandidatePool& PreparePool(size_t n, size_t m, size_t k, Score floor,
                              bool eager_groups = true,
                              bool dual_heap = false) {
-    pool_.Reset(m, k, floor, eager_groups, dual_heap);
+    pool_.Reset(n, m, k, floor, eager_groups, dual_heap);
     return pool_;
   }
 

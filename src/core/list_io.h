@@ -258,6 +258,21 @@ class FaultIo : public RawListIo<> {
   FaultInjectingAccessEngine* faults_;
 };
 
+/// si(bp), the score at list `list`'s best position `bp`: the term BPA's and
+/// BPA2's λ combine (an uncounted read of a position already seen). Under a
+/// fault-aware policy a list can die before any of its positions is seen,
+/// leaving bp = 0; every entry of it is then unseen, so the list maximum (an
+/// uncounted metadata read) is what bounds them.
+template <typename IoT>
+Score BestPositionScore(IoT& io, size_t list, Position bp) {
+  if constexpr (IoT::kFaultAware) {
+    if (bp == 0) {
+      return io.MaxScore(list);
+    }
+  }
+  return io.ScoreAt(list, bp);
+}
+
 /// Runs `loop(io)` over the local policy a prepared context calls for:
 /// AuditIo when auditing, FaultIo when faults are armed, RawListIo<>
 /// otherwise.

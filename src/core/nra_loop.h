@@ -53,7 +53,7 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // compactions (see CandidatePool::Reset), so compaction walks the max
   // side instead.
   CandidatePool& pool =
-      context->PreparePool(m, query.k, options.score_floor,
+      context->PreparePool(n, m, query.k, options.score_floor,
                            /*eager_groups=*/std::is_same_v<ScorerT, SumScorer>);
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
@@ -102,11 +102,11 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
           }
         }
         // Prefetch pipelining (same discipline as the TA/BPA mirror
-        // prefetches): request the pool's probe cell for the item this list
+        // prefetches): request the pool's index cell for the item this list
         // reveals kPrefetchRowsAhead rows from now — the item id is read
         // straight off the list's sequential (cache-resident) item array,
         // uncounted and decision-free, so the access pattern is untouched
-        // while the FindOrInsert probe's DRAM latency overlaps the rows in
+        // while the FindOrInsert lookup's DRAM latency overlaps the rows in
         // between.
         if (d + kPrefetchRowsAhead <= n) {
           pool.PrefetchItem(io.PeekItem(i, d + kPrefetchRowsAhead));

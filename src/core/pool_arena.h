@@ -1,9 +1,9 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// PoolArena + ArenaVec: the memory backend of the CandidatePool's SoA arrays.
+// PoolArena + ArenaVec: the memory backend of the CandidatePool's arrays.
 //
-// At DRAM-resident n the pool's arrays (candidate rows, the open-addressing
-// item→slot table, the group member heaps) span tens of megabytes that the
+// At DRAM-resident n the pool's arrays (candidate records and rows, the
+// item→slot index, the group member heaps) span tens of megabytes that the
 // run loops probe randomly — the same access pattern as the Database's
 // item-major mirror, which PR 4 moved onto an mmap'd, MADV_HUGEPAGE-advised
 // blob exactly because 4 KiB-paged random probes pay an L2-TLB miss / page
@@ -16,12 +16,21 @@
 // The arena only ever grows and never frees individual spans: an ArenaVec
 // that outgrows its capacity bump-allocates a doubled span and abandons the
 // old one (bounded waste — geometric growth retires at most one live-sized
-// span per array), and the whole arena is released only when the pool is
-// destroyed. This is the pool's existing retention contract (storage is kept
-// across queries so a warmed pool serves an unbounded query stream without
-// touching the allocator) made explicit in the allocator itself: a warmed
-// pool performs no mmap, no malloc and no madvise, which the zero-allocation
-// and arena-growth tests assert.
+// span per array; the item→slot index is assigned one exact n-cell span
+// instead, replaced only when a later query's n is larger), and the whole
+// arena is released only when the pool is destroyed. This is the pool's
+// existing retention contract (storage is kept across queries so a warmed
+// pool serves an unbounded query stream without touching the allocator)
+// made explicit in the allocator itself: a warmed pool performs no mmap, no
+// malloc and no madvise, which the zero-allocation and arena-growth tests
+// assert.
+//
+// A process's resident memory counts the pages the arena touched, not the
+// bytes it handed out: a 4 KiB page of an un-advised chunk, or a whole
+// 2 MiB page of an advised one once any byte of an aligned 2 MiB range is
+// touched (when the kernel can back it with a hugepage). Which spans land in
+// which chunk therefore moves the RSS of a small pool by up to a hugepage,
+// independently of how many bytes it uses.
 
 #ifndef TOPK_CORE_POOL_ARENA_H_
 #define TOPK_CORE_POOL_ARENA_H_
@@ -152,8 +161,16 @@ class ArenaVec {
   const T* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  T& operator[](size_t i) { return data_[i]; }
-  const T& operator[](size_t i) const { return data_[i]; }
+  // Bounds-checked in Debug builds: the spans live inside mmap'd chunks, so
+  // ASan cannot see an index past size() (Release compiles the check out).
+  T& operator[](size_t i) {
+    assert(i < size_);
+    return data_[i];
+  }
+  const T& operator[](size_t i) const {
+    assert(i < size_);
+    return data_[i];
+  }
   T* begin() { return data_; }
   T* end() { return data_ + size_; }
   const T* begin() const { return data_; }
@@ -190,7 +207,8 @@ class ArenaVec {
   }
 
   /// Discards the contents and refills with `count` copies of `fill` (the
-  /// open-addressing tables' rebuild primitive — no copy of the old cells).
+  /// index and mask tables' sizing primitive — no copy of the old cells; a
+  /// larger count takes one exact-sized span, not a doubled one).
   void assign(PoolArena& arena, size_t count, const T& fill) {
     if (count > capacity_) {
       data_ = static_cast<T*>(arena.Allocate(count * sizeof(T)));

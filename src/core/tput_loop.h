@@ -56,7 +56,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // phases 1 and 2 never consult it, so it is built exactly once, right
   // before the phase-3 walk, instead of being re-maintained on every access.
   CandidatePool& pool =
-      context->PreparePool(m, query.k, floor, /*eager_groups=*/false);
+      context->PreparePool(n, m, query.k, floor, /*eager_groups=*/false);
   const auto record = [&](size_t list_index, const AccessedEntry& entry) {
     const uint32_t slot = pool.FindOrInsert(entry.item);
     if (pool.SetSeen(slot, list_index, entry.score)) {
@@ -120,7 +120,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
           break;
         }
       }
-      // Probe-cell prefetch pipelining — uncounted, decision-free; see
+      // Index-cell prefetch pipelining — uncounted, decision-free; see
       // nra_loop.h.
       if (p + kPrefetchRowsAhead <= n) {
         pool.PrefetchItem(io.PeekItem(i, p + kPrefetchRowsAhead));

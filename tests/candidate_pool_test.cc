@@ -1,7 +1,7 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // CandidatePool unit and property tests: epoch-reset reuse across queries,
-// growth beyond the initial table capacity, intrusive threshold-heap
+// growth beyond the initial slot capacity, intrusive threshold-heap
 // semantics (k-th lower bound, deterministic ties, erase/swap consistency),
 // and a randomized differential against a std::unordered_map + full-sort
 // reference model.
@@ -26,7 +26,7 @@ namespace {
 
 TEST(CandidatePoolTest, InsertRecordsRowMaskAndKnownCount) {
   CandidatePool pool;
-  pool.Reset(/*m=*/3, /*k=*/2, /*floor=*/-1.0);
+  pool.Reset(/*n=*/8, /*m=*/3, /*k=*/2, /*floor=*/-1.0);
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_FALSE(pool.Contains(7));
 
@@ -61,7 +61,7 @@ TEST(CandidatePoolTest, InsertRecordsRowMaskAndKnownCount) {
 TEST(CandidatePoolTest, EpochResetForgetsCandidatesAndReusesStorage) {
   CandidatePool pool;
   for (int query = 0; query < 5; ++query) {
-    pool.Reset(/*m=*/2, /*k=*/3, /*floor=*/0.0);
+    pool.Reset(/*n=*/50, /*m=*/2, /*k=*/3, /*floor=*/0.0);
     EXPECT_EQ(pool.size(), 0u);
     EXPECT_EQ(pool.heap_size(), 0u);
     for (ItemId item = 0; item < 50; ++item) {
@@ -79,10 +79,10 @@ TEST(CandidatePoolTest, EpochResetForgetsCandidatesAndReusesStorage) {
 
 TEST(CandidatePoolTest, ResetAdaptsToNewListCountAndFloor) {
   CandidatePool pool;
-  pool.Reset(/*m=*/4, /*k=*/1, /*floor=*/0.0);
+  pool.Reset(/*n=*/4, /*m=*/4, /*k=*/1, /*floor=*/0.0);
   pool.SetSeen(pool.FindOrInsert(3), 3, 9.0);
 
-  pool.Reset(/*m=*/2, /*k=*/1, /*floor=*/-7.5);
+  pool.Reset(/*n=*/4, /*m=*/2, /*k=*/1, /*floor=*/-7.5);
   const uint32_t slot = pool.FindOrInsert(3);
   EXPECT_EQ(pool.mask(slot), 0u);
   EXPECT_DOUBLE_EQ(pool.row(slot)[0], -7.5);
@@ -91,8 +91,8 @@ TEST(CandidatePoolTest, ResetAdaptsToNewListCountAndFloor) {
 
 TEST(CandidatePoolTest, GrowsBeyondInitialCapacity) {
   CandidatePool pool;
-  pool.Reset(/*m=*/1, /*k=*/5, /*floor=*/0.0);
-  // Far beyond the initial table (1024 cells at load factor 1/2).
+  pool.Reset(/*n=*/60000, /*m=*/1, /*k=*/5, /*floor=*/0.0);
+  // Far beyond the initial slot capacity (64 records).
   constexpr ItemId kCount = 20000;
   for (ItemId item = 0; item < kCount; ++item) {
     const uint32_t slot = pool.FindOrInsert(item * 3 + 1);
@@ -110,7 +110,7 @@ TEST(CandidatePoolTest, GrowsBeyondInitialCapacity) {
 
 TEST(CandidatePoolTest, ThresholdHeapTracksKthLowerWithDeterministicTies) {
   CandidatePool pool;
-  pool.Reset(/*m=*/1, /*k=*/2, /*floor=*/0.0);
+  pool.Reset(/*n=*/31, /*m=*/1, /*k=*/2, /*floor=*/0.0);
   const auto offer = [&](ItemId item, Score lower) {
     const uint32_t slot = pool.FindOrInsert(item);
     pool.OfferLower(slot, lower);
@@ -147,7 +147,7 @@ TEST(CandidatePoolTest, ThresholdHeapTracksKthLowerWithDeterministicTies) {
 
 TEST(CandidatePoolTest, EraseSwapsLastSlotAndKeepsIndexConsistent) {
   CandidatePool pool;
-  pool.Reset(/*m=*/2, /*k=*/1, /*floor=*/0.0);
+  pool.Reset(/*n=*/10, /*m=*/2, /*k=*/1, /*floor=*/0.0);
   for (ItemId item = 0; item < 10; ++item) {
     const uint32_t slot = pool.FindOrInsert(item);
     pool.SetSeen(slot, 0, static_cast<Score>(item));
@@ -174,7 +174,7 @@ TEST(CandidatePoolTest, EraseSwapsLastSlotAndKeepsIndexConsistent) {
 
 TEST(CandidatePoolTest, PeakSizeTracksHighWaterMarkAcrossErasesAndResets) {
   CandidatePool pool;
-  pool.Reset(/*m=*/2, /*k=*/1, /*floor=*/0.0);
+  pool.Reset(/*n=*/103, /*m=*/2, /*k=*/1, /*floor=*/0.0);
   EXPECT_EQ(pool.peak_size(), 0u);
   for (ItemId item = 0; item < 10; ++item) {
     pool.SetSeen(pool.FindOrInsert(item), 0, 1.0);
@@ -190,7 +190,7 @@ TEST(CandidatePoolTest, PeakSizeTracksHighWaterMarkAcrossErasesAndResets) {
   pool.FindOrInsert(101);
   pool.FindOrInsert(102);
   EXPECT_EQ(pool.peak_size(), 11u);  // past the old high-water mark
-  pool.Reset(/*m=*/2, /*k=*/1, /*floor=*/0.0);
+  pool.Reset(/*n=*/103, /*m=*/2, /*k=*/1, /*floor=*/0.0);
   EXPECT_EQ(pool.peak_size(), 0u);  // a reset forgets the mark
 }
 
@@ -210,7 +210,7 @@ TEST(CandidatePoolTest, DifferentialAgainstUnorderedMapReference) {
     const size_t universe = 1 + rng.NextBounded(300);
 
     CandidatePool pool;
-    pool.Reset(m, k, floor);
+    pool.Reset(universe, m, k, floor);
     std::unordered_map<ItemId, ReferenceCandidate> reference;
 
     const auto reference_lower = [&](const ReferenceCandidate& c) {
@@ -433,7 +433,7 @@ TEST(CandidatePoolTest, GroupIndexMatchesBruteForceUnderRandomizedOps) {
     // Alternate CA's dual-heap mode (min side on) with NRA's max-side-only
     // mode: the consistency check covers the min side's lazy-invalidation
     // invariants in the former and its absence in the latter.
-    pool.Reset(m, k, /*floor=*/0.0, /*eager_groups=*/true,
+    pool.Reset(universe, m, k, /*floor=*/0.0, /*eager_groups=*/true,
                /*dual_heap=*/round % 2 == 0);
 
     const size_t ops = 100 + rng.NextBounded(600);
@@ -481,8 +481,8 @@ TEST(CandidatePoolTest, GroupIndexMatchesBruteForceUnderRandomizedOps) {
 TEST(CandidatePoolTest, GroupIndexSurvivesEpochReuse) {
   CandidatePool pool;
   for (int query = 0; query < 4; ++query) {
-    pool.Reset(/*m=*/3, /*k=*/2, /*floor=*/0.0, /*eager_groups=*/true,
-               /*dual_heap=*/true);
+    pool.Reset(/*n=*/40, /*m=*/3, /*k=*/2, /*floor=*/0.0,
+               /*eager_groups=*/true, /*dual_heap=*/true);
     for (ItemId item = 0; item < 40; ++item) {
       const uint32_t slot = pool.FindOrInsert(item);
       pool.SetSeen(slot, item % 3, 1.0 + item);
@@ -501,7 +501,8 @@ TEST(CandidatePoolTest, GroupIndexSurvivesEpochReuse) {
 
 TEST(CandidatePoolTest, LazyGroupModeDefersRegistrationToBuildGroups) {
   CandidatePool pool;
-  pool.Reset(/*m=*/2, /*k=*/2, /*floor=*/0.0, /*eager_groups=*/false);
+  pool.Reset(/*n=*/30, /*m=*/2, /*k=*/2, /*floor=*/0.0,
+             /*eager_groups=*/false);
   for (ItemId item = 0; item < 30; ++item) {
     const uint32_t slot = pool.FindOrInsert(item);
     pool.SetSeen(slot, item % 2, 1.0 + item);
@@ -525,6 +526,93 @@ TEST(CandidatePoolTest, LazyGroupModeDefersRegistrationToBuildGroups) {
   ExpectGroupIndexConsistent(pool);
 }
 
+// --- the direct item→slot index ---
+
+TEST(CandidatePoolTest, IndexCoversTheFirstAndLastItemAndNothingPastN) {
+  CandidatePool pool;
+  constexpr ItemId kN = 100;
+  pool.Reset(kN, /*m=*/2, /*k=*/1, /*floor=*/0.0);
+  const uint32_t first = pool.FindOrInsert(0);
+  const uint32_t last = pool.FindOrInsert(kN - 1);
+  EXPECT_NE(first, last);
+  EXPECT_EQ(pool.FindSlot(0), first);
+  EXPECT_EQ(pool.FindSlot(kN - 1), last);
+  EXPECT_EQ(pool.item_at(first), 0u);
+  EXPECT_EQ(pool.item_at(last), kN - 1);
+  // Never inserted, and at or past the sized n.
+  EXPECT_EQ(pool.FindSlot(1), CandidatePool::kNoSlot);
+  EXPECT_EQ(pool.FindSlot(kN), CandidatePool::kNoSlot);
+  EXPECT_EQ(pool.FindSlot(kInvalidItem), CandidatePool::kNoSlot);
+
+  // A smaller query keeps the larger index but still rejects ids past its
+  // own n, including ones the previous query inserted.
+  pool.Reset(/*n=*/10, /*m=*/2, /*k=*/1, /*floor=*/0.0);
+  EXPECT_EQ(pool.FindSlot(kN - 1), CandidatePool::kNoSlot);
+  EXPECT_EQ(pool.FindSlot(10), CandidatePool::kNoSlot);
+  EXPECT_EQ(pool.FindSlot(0), CandidatePool::kNoSlot);
+  EXPECT_EQ(pool.FindOrInsert(9), 0u);
+}
+
+TEST(CandidatePoolTest, ErasedItemReinsertsAsAFreshCandidateInOneEpoch) {
+  CandidatePool pool;
+  pool.Reset(/*n=*/10, /*m=*/2, /*k=*/1, /*floor=*/-1.0);
+  for (ItemId item = 0; item < 4; ++item) {
+    pool.SetSeen(pool.FindOrInsert(item), 0, 1.0 + item);
+  }
+  pool.OfferLower(pool.FindSlot(3), 4.0);  // heap member; the erase avoids it
+  pool.Erase(pool.FindSlot(1));
+  EXPECT_FALSE(pool.Contains(1));
+  EXPECT_EQ(pool.size(), 3u);
+
+  const uint32_t slot = pool.FindOrInsert(1);
+  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(slot, 3u);  // appended after the survivors
+  EXPECT_EQ(pool.item_at(slot), 1u);
+  EXPECT_EQ(pool.mask(slot), 0u);
+  EXPECT_EQ(pool.known_count(slot), 0u);
+  EXPECT_EQ(pool.lower(slot), -std::numeric_limits<Score>::infinity());
+  EXPECT_FALSE(pool.InHeap(slot));
+  EXPECT_EQ(pool.group_of(slot), CandidatePool::kNoGroup);
+  EXPECT_DOUBLE_EQ(pool.row(slot)[0], -1.0);
+  EXPECT_DOUBLE_EQ(pool.row(slot)[1], -1.0);
+  // The candidate moved into the erased slot kept its state and heap link.
+  const uint32_t moved = pool.FindSlot(3);
+  EXPECT_EQ(pool.item_at(moved), 3u);
+  EXPECT_TRUE(pool.InHeap(moved));
+  EXPECT_EQ(pool.KthItem(), 3u);
+  EXPECT_DOUBLE_EQ(pool.row(moved)[0], 4.0);
+}
+
+TEST(CandidatePoolTest, ResetToALargerNExposesNoStaleSlot) {
+  CandidatePool pool;
+  pool.Reset(/*n=*/16, /*m=*/1, /*k=*/1, /*floor=*/0.0);
+  for (ItemId item = 0; item < 16; ++item) {
+    pool.FindOrInsert(item);
+  }
+  pool.Reset(/*n=*/4, /*m=*/1, /*k=*/1, /*floor=*/0.0);
+  for (ItemId item = 0; item < 4; ++item) {
+    pool.FindOrInsert(item);
+  }
+  pool.Reset(/*n=*/64, /*m=*/1, /*k=*/1, /*floor=*/0.0);
+  for (ItemId item = 0; item < 64; ++item) {
+    EXPECT_FALSE(pool.Contains(item)) << "stale candidate " << item;
+  }
+  EXPECT_EQ(pool.FindOrInsert(63), 0u);
+  EXPECT_EQ(pool.FindOrInsert(5), 1u);
+  const size_t used = pool.arena_bytes_used();
+
+  // The index is sized once per larger n: going back down and up again
+  // reuses it instead of growing the arena.
+  pool.Reset(/*n=*/16, /*m=*/1, /*k=*/1, /*floor=*/0.0);
+  for (ItemId item = 0; item < 16; ++item) {
+    EXPECT_FALSE(pool.Contains(item)) << "stale candidate " << item;
+  }
+  pool.Reset(/*n=*/64, /*m=*/1, /*k=*/1, /*floor=*/0.0);
+  EXPECT_FALSE(pool.Contains(63));
+  EXPECT_FALSE(pool.Contains(5));
+  EXPECT_EQ(pool.arena_bytes_used(), used);
+}
+
 // --- the 64-list mask-word cap ---
 
 TEST(CandidatePoolTest, PoolAlgorithmsRejectMoreListsThanTheMaskWord) {
@@ -545,6 +633,30 @@ TEST(CandidatePoolTest, PoolAlgorithmsRejectMoreListsThanTheMaskWord) {
   EXPECT_TRUE(MakeAlgorithm(AlgorithmKind::kTa)
                   ->Execute(db, TopKQuery{2, &sum})
                   .ok());
+}
+
+TEST(CandidatePoolTest, PoolAlgorithmsServeExactlyTheMaskWord) {
+  // 64 lists: the seen mask's top bit is in use, through the slot record and
+  // the group index alike.
+  SumScorer sum;
+  for (uint64_t seed : {3u, 4u}) {
+    const Database db = MakeUniformDatabase(/*n=*/40, /*m=*/64, seed);
+    for (size_t k : {size_t{1}, size_t{10}}) {
+      const TopKQuery query{k, &sum};
+      const TopKResult naive = MakeAlgorithm(AlgorithmKind::kNaive)
+                                   ->Execute(db, query)
+                                   .ValueOrDie();
+      for (AlgorithmKind kind :
+           {AlgorithmKind::kNra, AlgorithmKind::kCa, AlgorithmKind::kTput}) {
+        SCOPED_TRACE(ToString(kind) + " seed " + std::to_string(seed) +
+                     " k " + std::to_string(k));
+        const Result<TopKResult> run = MakeAlgorithm(kind)->Execute(db, query);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_EQ(run.ValueUnsafe().completion, Completion::kExact);
+        EXPECT_EQ(run.ValueUnsafe().Items(), naive.Items());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -542,6 +542,38 @@ TEST(FaultInjectionTest, FaultedOutcomesArePinned) {
   }
 }
 
+// A list killed at its first access, on a two-list workload where the kill
+// lands before the list's first sorted read: BPA's and BPA2's λ meet a best
+// position of 0 and TA's δ a cursor that never moved. Both must read the
+// list maximum there, so TA certifies no wrong exact answer and BPA and BPA2
+// return instead of reading before the list's first position.
+TEST(FaultInjectionTest, ListKilledBeforeItsFirstReadKeepsBoundsSound) {
+  const Database db = MakeUniformDatabase(50, 2, /*seed=*/1);
+  SumScorer scorer;
+  const TopKQuery query{1, &scorer};
+  ExecutionContext oracle_context;
+  const TopKResult oracle = MustRun(AlgorithmKind::kNaive, AlgorithmOptions{},
+                                    db, query, &oracle_context);
+  ExecutionContext context;  // warmed across runs, like a server worker's
+  for (AlgorithmKind kind :
+       {AlgorithmKind::kTa, AlgorithmKind::kBpa, AlgorithmKind::kBpa2}) {
+    SCOPED_TRACE(ToString(kind));
+    AlgorithmOptions options;
+    options.score_floor = DeriveScoreFloor(db);
+    options.fault_plan.kill_list = 1;
+    options.fault_plan.kill_after_accesses = 1;
+    const TopKResult result = MustRun(kind, options, db, query, &context);
+    EXPECT_EQ(result.dead_lists, 1u);
+    if (result.completion == Completion::kExact) {
+      ASSERT_EQ(result.items.size(), query.k);
+      EXPECT_EQ(result.items[0].item, oracle.items[0].item);
+      EXPECT_NEAR(result.items[0].score, oracle.items[0].score, 1e-9);
+    } else {
+      CheckAnytimeSoundness(kind, db, scorer, result);
+    }
+  }
+}
+
 TEST(FaultInjectionTest, FaultPlanIsIncompatibleWithAccessAuditing) {
   const Database db = MakeDb();
   SumScorer scorer;
