@@ -42,10 +42,10 @@ Status RunCaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // maintenance. CA is the one consumer of the groups' min side: its
   // prune-and-erase pass runs at every stop check (every h rows), which is
   // what amortizes the min side's per-registration entry pushes.
-  constexpr bool kSumPath = std::is_same_v<ScorerT, SumScorer>;
-  CandidatePool& pool =
-      context->PreparePool(n, m, query.k, options.score_floor,
-                           /*eager_groups=*/kSumPath, /*dual_heap=*/kSumPath);
+  CandidatePool& pool = context->PreparePool(
+      n, m, query.k, options.score_floor,
+      std::is_same_v<ScorerT, SumScorer> ? GroupIndex::kDualHeap
+                                         : GroupIndex::kNone);
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
     // Sound cursor bounds even for a list dead before its first read (see

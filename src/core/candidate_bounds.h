@@ -3,19 +3,20 @@
 // Shared bound computations and the stop-rule checks of the candidate-pool
 // algorithms (NRA, CA, TPUT).
 //
-// For summation scoring the checks run on the pool's per-mask group index in
-// O(#distinct masks), not O(pool size): a candidate's upper bound is its
-// lower bound plus the sum of the current depth scores of its unseen lists —
-// within one mask group that delta is shared, so ordering members by the
-// immutable (lower bound, item id) key orders them by upper bound too, and
-// each walk picks the dual-heap side whose root bounds the answer it needs:
+// For summation scoring NRA's and CA's checks run on the pool's per-mask
+// group index in O(#distinct masks), not O(pool size): a candidate's upper
+// bound is its lower bound plus the sum of the current depth scores of its
+// unseen lists — within one mask group that delta is shared, so ordering
+// members by the immutable (lower bound, item id) key orders them by upper
+// bound too, and each walk picks the dual-heap side whose root bounds the
+// answer it needs:
 //
 //   - the *max* side (strongest at root, every subtree root majorizes its
 //     descendants) serves the existence/argmax/bulk questions — "does any
 //     member still block the stop?" (GroupFindBlocker), "which member has
-//     the largest upper bound?" (GroupArgmaxUnresolved), TPUT's τ2 filter
-//     and NRA's rare compaction passes (GroupCompact) — pruning whole
-//     subtrees once their keys drop below the decision threshold;
+//     the largest upper bound?" (GroupArgmaxUnresolved) and NRA's rare
+//     compaction passes (GroupCompact) — pruning whole subtrees once their
+//     keys drop below the decision threshold;
 //   - CA's optional *min* side (weakest at root; see CandidatePool for the
 //     when-it-pays analysis) serves its per-stop-check prune-and-erase pass
 //     (GroupPruneAndFindBlocker): victims are peeled weakest-first and the
@@ -31,10 +32,10 @@
 // that survives the margin test is then evaluated with the exact same
 // interleaved summation the pre-group-index per-candidate sweep used
 // (PoolUpperBound). Decisions — stop positions, CA's resolution victims,
-// TPUT's phase-3 survivors, and therefore all access counts — are thus
-// byte-identical to the O(pool) sweeps they replace: members below the
-// margined threshold provably cannot pass the exact comparison, and members
-// above it face the exact comparison itself.
+// and therefore all access counts — are thus byte-identical to the O(pool)
+// sweeps they replace: members below the margined threshold provably cannot
+// pass the exact comparison, and members above it face the exact comparison
+// itself.
 //
 // Non-summation scorers keep the per-candidate sweep (PruneAndFindBlocker):
 // a general monotonic f does not decompose per mask.

@@ -25,15 +25,13 @@ constexpr size_t kInitialMaskTableSize = 128;  // power of two
 }  // namespace
 
 void CandidatePool::Reset(size_t n, size_t m, size_t k, Score floor,
-                          bool eager_groups, bool dual_heap) {
+                          GroupIndex groups) {
   assert(m >= 1 && m <= kMaxLists);
-  assert(eager_groups || !dual_heap);  // a lazy index is never peeled
   n_ = n;
   m_ = m;
   k_ = k;
   floor_ = floor;
-  eager_groups_ = eager_groups;
-  dual_heap_ = dual_heap;
+  group_index_ = groups;
   size_ = 0;
   peak_size_ = 0;
   heap_.clear();
@@ -288,7 +286,7 @@ void CandidatePool::GroupInsert(uint32_t slot) {
   group_pos_[slot] = static_cast<uint32_t>(group.members.size());
   group.members.push_back(arena_, slot);
   GroupSiftUp(group, group.members.size() - 1);
-  if (dual_heap_) {
+  if (has_min_side()) {
     // A fresh stamp orphans every earlier entry of this slot; the one entry
     // pushed here is the registration's single live representative.
     births_[slot] = ++birth_counter_;
@@ -319,7 +317,7 @@ void CandidatePool::GroupRemove(uint32_t slot) {
     GroupSiftUp(group, pos);
     GroupSiftDown(group, group_pos_[last]);
   }
-  if (dual_heap_) {
+  if (has_min_side()) {
     // Min side: deregistration is free — re-stamping the slot orphans its
     // entry wherever it sits (popped and discarded by a later peel, or
     // swept out by a rebuild).
@@ -348,8 +346,9 @@ void CandidatePool::OfferLower(uint32_t slot, Score lower) {
     SiftUp(heap_.size() - 1);
     return;
   }
+  const bool grouped = group_index_ != GroupIndex::kNone;
   if (k_ == 0) {
-    if (eager_groups_) {
+    if (grouped) {
       GroupInsert(slot);
     }
     return;
@@ -360,23 +359,15 @@ void CandidatePool::OfferLower(uint32_t slot, Score lower) {
     heap_[0] = slot;
     slots_[slot].heap_pos = 0;
     SiftDown(0);
-    if (eager_groups_) {
+    if (grouped) {
       // The displaced member leaves the answer set and becomes a regular
       // group-indexed candidate again.
       GroupInsert(weakest);
     }
     return;
   }
-  if (eager_groups_) {
+  if (grouped) {
     GroupInsert(slot);
-  }
-}
-
-void CandidatePool::BuildGroups() {
-  for (uint32_t slot = 0; slot < size_; ++slot) {
-    if (!InHeap(slot) && slots_[slot].group == kNoGroup) {
-      GroupInsert(slot);
-    }
   }
 }
 

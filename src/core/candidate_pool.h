@@ -28,22 +28,23 @@
 //     is maintained incrementally (O(log k) per update via the slot→heap
 //     position backlink) instead of being rebuilt per stop-rule check.
 //
-//  2. A per-mask group index over every candidate *outside* the threshold
-//     heap. Fagin et al.'s NRA bound decomposition says a candidate's upper
-//     bound is its lower bound plus the current depth scores of its unseen
-//     lists — a function of the candidate's seen mask alone (for summation
-//     scoring). Grouping candidates by mask therefore turns the stop-rule
-//     sweep ("does any candidate still block?") and CA's victim selection
-//     ("which unresolved candidate has the largest upper bound?") from
-//     O(pool size) scans into O(#distinct masks) scans. Groups are keyed by
-//     the immutable (lower bound, item id) pair — immutable because a
-//     candidate's lower bound changes exactly when its mask changes, which
-//     moves it to another group — and carry up to two heap sides:
+//  2. An optional per-mask group index over every candidate *outside* the
+//     threshold heap. Fagin et al.'s NRA bound decomposition says a
+//     candidate's upper bound is its lower bound plus the current depth
+//     scores of its unseen lists — a function of the candidate's seen mask
+//     alone (for summation scoring). Grouping candidates by mask therefore
+//     turns the stop-rule sweep ("does any candidate still block?") and CA's
+//     victim selection ("which unresolved candidate has the largest upper
+//     bound?") from O(pool size) scans into O(#distinct masks) scans. Groups
+//     are keyed by the immutable (lower bound, item id) pair — immutable
+//     because a candidate's lower bound changes exactly when its mask
+//     changes, which moves it to another group — and carry up to two heap
+//     sides:
 //
-//       - a strongest-at-root *max side* (always present) whose root
+//       - a strongest-at-root *max side* (in every group) whose root
 //         majorizes the group's upper bounds: the stop-rule blocking checks,
-//         CA's victim argmax, TPUT's τ2 filter and NRA's compaction walk it
-//         top-down, pruning whole subtrees against a threshold, and
+//         CA's victim argmax and NRA's compaction walk it top-down, pruning
+//         whole subtrees against a threshold, and
 //       - an optional weakest-at-root *min side* whose root minorizes them:
 //         CA's prune-and-erase stop check peels victims weakest-first off it
 //         and stops the moment the root is provably above the prune
@@ -66,17 +67,17 @@
 //     member's current bound — the peels classify with exactly the
 //     arithmetic the pre-dual-heap sweeps used.
 //
-//     The min side is enabled per query (Reset's dual_heap) by the one
+//     Each query picks its index with Reset's GroupIndex: none, the max
+//     side alone, or both sides. The min side is enabled by the one
 //     consumer whose peel frequency pays for the per-registration pushes:
 //     CA. See Reset for the measured trade (an always-on min side — eagerly
 //     backlinked or lazy — made NRA ~2x slower at n=1M, because NRA
 //     registers ~10^6 times per query and peels only on its rare
-//     watermark-triggered compactions). Lazy index mode (TPUT, which
-//     consults the index exactly once and only ever walks strongest-first)
-//     defers all registration to one BuildGroups() call. Threshold-heap
-//     members are deliberately absent from the groups: they are the current
-//     answer and never block the stop rule; callers that need them (CA's
-//     victim selection, TPUT's phase 3) scan the ≤ k heap slots directly.
+//     watermark-triggered compactions). TPUT keeps no index: it reads the
+//     pool once, in phase 3, with a plain sweep. Threshold-heap members are
+//     deliberately absent from the groups: they are the current answer and
+//     never block the stop rule; callers that need them (CA's victim
+//     selection) scan the ≤ k heap slots directly.
 //
 // Tie-breaking is deterministic everywhere: on equal lower bounds the smaller
 // item id is the stronger candidate, matching TopKBuffer and the library-wide
@@ -94,6 +95,14 @@
 #include "lists/types.h"
 
 namespace topk {
+
+/// Which per-mask group index a query's pool maintains (see
+/// CandidatePool::Reset).
+enum class GroupIndex {
+  kNone,      // no groups: TPUT, and NRA/CA under non-sum scorers
+  kMaxSide,   // strongest-at-root member heaps: NRA
+  kDualHeap,  // plus the weakest-at-root min side: CA
+};
 
 /// Flat candidate set of one NRA/CA/TPUT execution. Not thread-safe; borrow
 /// one per concurrent query (it lives in ExecutionContext). Supports at most
@@ -116,32 +125,22 @@ class CandidatePool {
   /// from `n` on the first query and grows (one fresh n-cell span) only when
   /// a later query's n is larger.
   ///
-  /// `eager_groups` selects when the group index is maintained: eagerly on
-  /// every OfferLower (NRA/CA, whose checks run against the groups every few
-  /// rows) or deferred until one explicit BuildGroups() call (TPUT, which
-  /// consults the groups exactly once, for its phase-3 τ2 filter — paying
-  /// per-access re-registration for an index read once is a net loss).
-  ///
-  /// `dual_heap` adds the min side to each group. It defaults to off because
-  /// it is a consumer-driven trade: each registration pushes one min-side
-  /// entry (~one cache miss for the sift-up's parent compare), which only
-  /// pays off when the min side is peeled often relative to registrations.
-  /// CA peels at every stop check (every cr/cs rows) — its peels turned an
-  /// O(live set) sweep into the prunable tail and bought an order of
-  /// magnitude at DRAM-resident n. NRA peels only on watermark-triggered
-  /// compactions (a handful per query against ~10^6 registrations) — an
-  /// always-on min side measured ~2x slower end-to-end for NRA at n=1M, so
-  /// NRA runs max-side-only and compacts with the max-side walk. Requires
-  /// eager_groups (a lazily-built index is read strongest-first once and
-  /// never peeled).
+  /// `groups` selects the group index, maintained on every OfferLower.
+  /// kNone registers nothing: TPUT reads its pool once, in phase 3, with a
+  /// plain sweep, and the non-sum scorers' stop rules sweep per candidate.
+  /// kMaxSide serves NRA's repeated stop checks. kDualHeap adds the min side
+  /// to each group. It is a consumer-driven trade: each registration pushes
+  /// one min-side entry (~one cache miss for the sift-up's parent compare),
+  /// which only pays off when the min side is peeled often relative to
+  /// registrations. CA peels at every stop check (every cr/cs rows) — its
+  /// peels turned an O(live set) sweep into the prunable tail and bought an
+  /// order of magnitude at DRAM-resident n. NRA peels only on
+  /// watermark-triggered compactions (a handful per query against ~10^6
+  /// registrations) — an always-on min side measured ~2x slower end-to-end
+  /// for NRA at n=1M, so NRA runs max-side-only and compacts with the
+  /// max-side walk.
   void Reset(size_t n, size_t m, size_t k, Score floor,
-             bool eager_groups = true, bool dual_heap = false);
-
-  /// Registers every candidate outside the threshold heap in the group of
-  /// its current mask (O(size) total). The one-shot complement of
-  /// Reset(..., /*eager_groups=*/false); idempotent for already-registered
-  /// candidates.
-  void BuildGroups();
+             GroupIndex groups = GroupIndex::kMaxSide);
 
   /// Number of live candidates. Slots are dense: 0 .. size()-1.
   size_t size() const { return size_; }
@@ -261,8 +260,8 @@ class CandidatePool {
   bool InHeap(uint32_t slot) const { return slots_[slot].heap_pos != kNoSlot; }
 
   /// The heap members' slots in heap order (callers that need the ≤ k
-  /// current-answer candidates — CA's victim selection, TPUT's phase 3 —
-  /// scan this directly; heap members are not in any group).
+  /// current-answer candidates — CA's victim selection — scan this
+  /// directly; heap members are not in any group).
   const ArenaVec<uint32_t>& heap_slots() const { return heap_; }
 
   Score lower(uint32_t slot) const { return slots_[slot].lower; }
@@ -311,8 +310,8 @@ class CandidatePool {
   /// ones (members that have since deregistered; MinEntryLive tells them
   /// apart). The stored keys satisfy the heap invariant unconditionally, so
   /// min_entries[0] carries the smallest stored key and every live member's
-  /// current key appears exactly once. Maintained in eager mode only (empty
-  /// for a lazily-built index — TPUT never prunes).
+  /// current key appears exactly once. Maintained under kDualHeap only
+  /// (empty otherwise).
   const ArenaVec<MinEntry>& group_min_entries(size_t g) const {
     return groups_[g].min_entries;
   }
@@ -344,8 +343,8 @@ class CandidatePool {
     peel_scratch_.push_back(arena_, entry);
   }
 
-  /// True when the groups carry their min side (eager mode; see Reset).
-  bool has_min_side() const { return dual_heap_; }
+  /// True when the groups carry their min side (kDualHeap; see Reset).
+  bool has_min_side() const { return group_index_ == GroupIndex::kDualHeap; }
 
   /// Group the slot is registered in, or kNoGroup for threshold-heap members
   /// and candidates whose OfferLower is still pending after SetSeen.
@@ -384,7 +383,7 @@ class CandidatePool {
   uint32_t Insert(ItemId item);
 
   // One per-mask candidate group: the member slots form a strongest-at-root
-  // binary heap in `members`; in eager mode `min_entries` holds the
+  // binary heap in `members`; under kDualHeap `min_entries` holds the
   // weakest-at-root entry heap of the min side (live entries + lazily
   // invalidated stale ones). Storage is retained across queries.
   struct Group {
@@ -398,7 +397,7 @@ class CandidatePool {
 
   /// Registers the slot (not in any group, not in the heap) in the group of
   /// its current mask under its current (lower, item) key: max-side sift
-  /// insert plus, in eager mode, a fresh stamp and one min-side entry push.
+  /// insert plus, under kDualHeap, a fresh stamp and one min-side entry push.
   void GroupInsert(uint32_t slot);
 
   /// Deregisters the slot from its group: O(log group size) max-side
@@ -421,8 +420,7 @@ class CandidatePool {
   size_t m_ = 0;
   size_t k_ = 0;
   Score floor_ = 0.0;
-  bool eager_groups_ = true;
-  bool dual_heap_ = true;  // min sides maintained (eager mode)
+  GroupIndex group_index_ = GroupIndex::kMaxSide;
   size_t size_ = 0;
   size_t peak_size_ = 0;
 

@@ -157,16 +157,14 @@ class ExecutionContext {
   /// O(1) reset via epoch stamping; storage — including the pool's mmap'd,
   /// hugepage-advised arena (core/pool_arena.h) — is retained across
   /// queries, so a warmed context sizes itself to the workload once and then
-  /// serves queries without growing. `eager_groups` picks the pool's
-  /// per-mask group index maintenance mode (see CandidatePool::Reset):
-  /// eager for the repeated stop checks of NRA/CA, deferred-to-BuildGroups
-  /// for TPUT's single phase-3 filter. `dual_heap` adds the min side CA's
-  /// per-stop-check prune peels (a per-registration cost only its peel
-  /// frequency justifies — NRA and TPUT leave it off).
+  /// serves queries without growing. `groups` picks the pool's per-mask
+  /// group index (see CandidatePool::Reset): the max side for NRA's stop
+  /// checks, the dual heap for CA's per-stop-check prune peels (a
+  /// per-registration cost only its peel frequency justifies), none for
+  /// TPUT's one phase-3 sweep and the non-sum scorers' per-candidate sweeps.
   CandidatePool& PreparePool(size_t n, size_t m, size_t k, Score floor,
-                             bool eager_groups = true,
-                             bool dual_heap = false) {
-    pool_.Reset(n, m, k, floor, eager_groups, dual_heap);
+                             GroupIndex groups) {
+    pool_.Reset(n, m, k, floor, groups);
     return pool_;
   }
 

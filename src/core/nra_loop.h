@@ -52,9 +52,10 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // registrations but peeled only by the rare watermark-triggered
   // compactions (see CandidatePool::Reset), so compaction walks the max
   // side instead.
-  CandidatePool& pool =
-      context->PreparePool(n, m, query.k, options.score_floor,
-                           /*eager_groups=*/std::is_same_v<ScorerT, SumScorer>);
+  CandidatePool& pool = context->PreparePool(
+      n, m, query.k, options.score_floor,
+      std::is_same_v<ScorerT, SumScorer> ? GroupIndex::kMaxSide
+                                         : GroupIndex::kNone);
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
     // A list can be dead before its first read (the NRA failover after a

@@ -37,26 +37,19 @@ Status ValidateTputQuery(const char* engine, const TopKQuery& query,
 
 // Templated on the access policy (TPUT is summation-only, so there is no
 // scorer dispatch): the default raw-list configuration inlines all three
-// phases' access loops over the pool's flat rows. Phase 3's τ2 filter runs
-// on the pool's per-mask group index: whole groups whose margined best upper
-// bound falls below τ2 are skipped without touching their members, and the
-// members that survive the margined walk face the exact same interleaved
-// bound the full sweep used — survivors, and therefore random-access counts,
-// are unchanged.
+// phases' access loops over the pool's flat rows. Phase 3's τ2 filter is
+// one sweep over the pool, so the pool keeps no group index.
 template <typename IoT>
 Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
                    ExecutionContext* context, IoT io, TopKResult* result) {
   const size_t n = io.num_items();
   const size_t m = io.num_lists();
-  const Score floor = options.score_floor;
 
   // Lower bounds (partial sums with floor-filled gaps) feed the pool's
   // threshold heap, whose k-th entry is exactly τ1/τ2 — no comparator set is
-  // rebuilt between phases. The group index is deferred (eager_groups off):
-  // phases 1 and 2 never consult it, so it is built exactly once, right
-  // before the phase-3 walk, instead of being re-maintained on every access.
-  CandidatePool& pool =
-      context->PreparePool(n, m, query.k, floor, /*eager_groups=*/false);
+  // rebuilt between phases.
+  CandidatePool& pool = context->PreparePool(n, m, query.k, options.score_floor,
+                                             GroupIndex::kNone);
   const auto record = [&](size_t list_index, const AccessedEntry& entry) {
     const uint32_t slot = pool.FindOrInsert(entry.item);
     if (pool.SetSeen(slot, list_index, entry.score)) {
@@ -198,37 +191,19 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // candidates contain the exact (score desc, item id asc) top-k.
   //
   // Folding the threshold ceiling into a capped copy of the depth scores
-  // reduces the phase-3 bound to the shared SumUpperBound/GroupUnseenDelta
-  // arithmetic — one summation for every parity-sensitive call site.
+  // reduces the phase-3 bound to the shared SumUpperBound arithmetic — one
+  // summation for every parity-sensitive call site. Survivors are resolved
+  // in slot (first-seen) order, which decides how many random reads a
+  // governed run spends before a budget trips.
   std::vector<Score>& capped_scores = context->bound_scores();
   for (size_t i = 0; i < m; ++i) {
     capped_scores[i] = std::min(last_scores[i], threshold);
   }
-  pool.BuildGroups();
   std::vector<uint32_t>& survivors = context->ClearedSlots();
-  for (uint32_t slot : pool.heap_slots()) {
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
     if (SumUpperBound(pool, slot, capped_scores) >= tau2) {
       survivors.push_back(slot);
     }
-  }
-  const double margin = SummationErrorMargin(io, floor);
-  for (size_t g = 0; g < pool.num_groups(); ++g) {
-    const ArenaVec<uint32_t>& members = pool.group_members(g);
-    if (members.empty()) {
-      continue;
-    }
-    const Score delta =
-        GroupUnseenDelta(pool.group_mask(g), m, capped_scores, floor);
-    WalkGroupMembers(members, 0, [&](size_t /*pos*/, uint32_t slot) {
-      if (pool.lower(slot) + delta < tau2 - margin) {
-        // Every descendant is below τ2 as well.
-        return GroupWalkAction::kSkipSubtree;
-      }
-      if (SumUpperBound(pool, slot, capped_scores) >= tau2) {
-        survivors.push_back(slot);
-      }
-      return GroupWalkAction::kDescend;
-    });
   }
 
   // Batching policies send the survivors' random reads up front, one lookup

@@ -362,11 +362,11 @@ void ExpectGroupIndexConsistent(const CandidatePool& pool) {
     // member must own exactly one live entry carrying its current key, and
     // the root's stored key must minorize every live member — which makes
     // the weakest live member reachable by popping stale roots only.
-    // Lazily-built indexes (TPUT) carry no min side at all.
+    // Max-side-only indexes (NRA) carry no min side at all.
     const auto& min_entries = pool.group_min_entries(g);
     if (!pool.has_min_side()) {
       EXPECT_EQ(min_entries.size(), 0u)
-          << "group " << g << " grew a min side in lazy mode";
+          << "group " << g << " grew a min side without kDualHeap";
       continue;
     }
     for (size_t pos = 1; pos < min_entries.size(); ++pos) {
@@ -433,8 +433,8 @@ TEST(CandidatePoolTest, GroupIndexMatchesBruteForceUnderRandomizedOps) {
     // Alternate CA's dual-heap mode (min side on) with NRA's max-side-only
     // mode: the consistency check covers the min side's lazy-invalidation
     // invariants in the former and its absence in the latter.
-    pool.Reset(universe, m, k, /*floor=*/0.0, /*eager_groups=*/true,
-               /*dual_heap=*/round % 2 == 0);
+    pool.Reset(universe, m, k, /*floor=*/0.0,
+               round % 2 == 0 ? GroupIndex::kDualHeap : GroupIndex::kMaxSide);
 
     const size_t ops = 100 + rng.NextBounded(600);
     for (size_t op = 0; op < ops; ++op) {
@@ -482,7 +482,7 @@ TEST(CandidatePoolTest, GroupIndexSurvivesEpochReuse) {
   CandidatePool pool;
   for (int query = 0; query < 4; ++query) {
     pool.Reset(/*n=*/40, /*m=*/3, /*k=*/2, /*floor=*/0.0,
-               /*eager_groups=*/true, /*dual_heap=*/true);
+               GroupIndex::kDualHeap);
     for (ItemId item = 0; item < 40; ++item) {
       const uint32_t slot = pool.FindOrInsert(item);
       pool.SetSeen(slot, item % 3, 1.0 + item);
@@ -499,31 +499,19 @@ TEST(CandidatePoolTest, GroupIndexSurvivesEpochReuse) {
   }
 }
 
-TEST(CandidatePoolTest, LazyGroupModeDefersRegistrationToBuildGroups) {
+TEST(CandidatePoolTest, NoGroupIndexModeNeverRegisters) {
   CandidatePool pool;
-  pool.Reset(/*n=*/30, /*m=*/2, /*k=*/2, /*floor=*/0.0,
-             /*eager_groups=*/false);
+  pool.Reset(/*n=*/30, /*m=*/2, /*k=*/2, /*floor=*/0.0, GroupIndex::kNone);
   for (ItemId item = 0; item < 30; ++item) {
     const uint32_t slot = pool.FindOrInsert(item);
     pool.SetSeen(slot, item % 2, 1.0 + item);
     pool.OfferLower(slot, 1.0 + item);
   }
-  // Nothing registered while lazy: TPUT's phases 1-2 never pay for the index.
+  // Nothing registered: TPUT never pays for the index.
   EXPECT_EQ(pool.num_groups(), 0u);
   for (uint32_t slot = 0; slot < pool.size(); ++slot) {
     EXPECT_EQ(pool.group_of(slot), CandidatePool::kNoGroup);
   }
-
-  pool.BuildGroups();
-  ExpectGroupIndexConsistent(pool);
-  EXPECT_EQ(pool.num_groups(), 2u);
-  size_t members = 0;
-  for (size_t g = 0; g < pool.num_groups(); ++g) {
-    members += pool.group_members(g).size();
-  }
-  EXPECT_EQ(members, 28u);  // 30 candidates minus the k=2 heap
-  pool.BuildGroups();  // idempotent
-  ExpectGroupIndexConsistent(pool);
 }
 
 // --- the direct item→slot index ---

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "common/rng.h"
 #include "gen/database_generator.h"
 
 namespace topk {
@@ -229,6 +230,79 @@ TEST(DatabaseIoTest, CsvRejectsNonFiniteScores) {
   EXPECT_NE(status.message().find("line 3, column 2 (list0)"),
             std::string::npos)
       << status.message();
+}
+
+// Seeded loader fuzz: mutated binary and CSV images of a small Gaussian
+// database either load or fail as Invalid. Any other code, a crash or a
+// sanitizer report fails the test.
+TEST(DatabaseIoTest, MutatedImagesLoadOrFailAsInvalid) {
+  const Database db = MakeGaussianDatabase(24, 3, 17);
+  std::stringstream binary(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(WriteBinary(db, binary).ok());
+  std::stringstream csv;
+  ASSERT_TRUE(WriteCsv(db, csv).ok());
+  const std::string images[] = {binary.str(), csv.str()};
+  constexpr size_t kCountsOffset = 8;  // n, then m, after the magic
+
+  Rng rng(20240917);
+  size_t loaded = 0;
+  size_t invalid = 0;
+  for (int round = 0; round < 10000; ++round) {
+    for (int format = 0; format < 2; ++format) {
+      const bool is_binary = format == 0;
+      std::string bytes = images[format];
+      const uint64_t mutation = rng.NextBounded(4);
+      if (mutation == 0) {  // bit flips
+        for (uint64_t flips = 1 + rng.NextBounded(8); flips > 0; --flips) {
+          bytes[rng.NextBounded(bytes.size())] ^=
+              static_cast<char>(1u << rng.NextBounded(8));
+        }
+      } else if (mutation == 1) {  // truncation at a random length
+        bytes.resize(rng.NextBounded(bytes.size()));
+      } else if (mutation == 2) {  // random n/m header values
+        // Small counts half the time, so some claims fit the stream.
+        const uint64_t value = rng.NextBounded(2) == 0
+                                   ? rng.NextBounded(64)
+                                   : rng.NextBounded(UINT64_MAX);
+        if (is_binary) {
+          const size_t field = kCountsOffset + 8 * rng.NextBounded(2);
+          std::memcpy(&bytes[field], &value, sizeof(value));
+        } else if (rng.NextBounded(2) == 0) {
+          // CSV carries m as its column count and n as the item ids.
+          std::string header = "item";
+          for (uint64_t j = 0; j < value % 8; ++j) {
+            header += ",list" + std::to_string(j);
+          }
+          bytes.replace(0, bytes.find('\n'), header);
+        } else {
+          const size_t row = bytes.find('\n', rng.NextBounded(bytes.size()));
+          if (row != std::string::npos && row + 1 < bytes.size()) {
+            bytes.replace(row + 1, bytes.find(',', row + 1) - row - 1,
+                          std::to_string(value));
+          }
+        }
+      } else {  // byte overwrites
+        for (uint64_t writes = 1 + rng.NextBounded(8); writes > 0; --writes) {
+          bytes[rng.NextBounded(bytes.size())] =
+              static_cast<char>(rng.NextBounded(256));
+        }
+      }
+      std::stringstream in(bytes, std::ios::in | std::ios::binary);
+      const Status status =
+          is_binary ? ReadBinary(in).status() : ReadCsv(in).status();
+      if (status.ok()) {
+        ++loaded;
+      } else {
+        ASSERT_TRUE(status.IsInvalid())
+            << (is_binary ? "binary" : "CSV") << " round " << round
+            << " mutation " << mutation << ": " << status.ToString();
+        ++invalid;
+      }
+    }
+  }
+  // Both outcomes occur: the mutations reach past the first check.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(invalid, 0u);
 }
 
 TEST(DatabaseIoTest, FileRoundTrip) {

@@ -28,6 +28,7 @@
 #include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/candidate_bounds.h"
+#include "core/execution_context.h"
 #include "lists/scorer.h"
 
 namespace topk {
@@ -382,6 +383,90 @@ TEST_P(FuzzDifferentialTest, GovernedAndFaultedBoundsAreSoundVsNaive) {
       ASSERT_TRUE(again.stats == got.stats);
       ASSERT_EQ(again.failed_over, got.failed_over);
       ASSERT_EQ(again.dead_lists, got.dead_lists);
+    }
+  }
+}
+
+// The group walks' pruning margin (SummationErrorMargin, 2^-38 * sum|s|) at
+// magnitudes the generated workloads never reach: huge, tiny and subnormal
+// scores, and negative floors far from zero. Under SumScorer NRA and CA take
+// the margined group walks; under an all-ones WeightedSumScorer, whose
+// Combine is the same left-to-right sum, they take the exact per-candidate
+// sweeps. Both runs must make the same decisions and return Naive's items.
+TEST(MarginPropertyTest, GroupWalksEqualExactSweepsAtAdversarialMagnitudes) {
+  struct Magnitude {
+    const char* name;
+    double scale;
+    double shift;
+  };
+  const Magnitude magnitudes[] = {
+      {"x1e300", 1e300, 0.0},
+      {"x1e-300", 1e-300, 0.0},
+      {"x1e-310", 1e-310, 0.0},  // subnormal
+      {"-1e6", 1.0, -1e6},
+      {"x1e150-1e150", 1e150, -1e150},
+  };
+  SumScorer sum;
+  ExecutionContext context;
+  const auto run = [&](AlgorithmKind kind, const AlgorithmOptions& options,
+                       const Database& db, const TopKQuery& query) {
+    TopKResult result;
+    EXPECT_TRUE(MakeAlgorithm(kind, options)
+                    ->ExecuteInto(db, query, &context, &result)
+                    .ok());
+    return result;
+  };
+  for (size_t m : {size_t{2}, size_t{5}, size_t{64}}) {
+    const WeightedSumScorer ones =
+        WeightedSumScorer::Make(std::vector<double>(m, 1.0)).ValueOrDie();
+    const size_t n = m == 64 ? 50 : 300;
+    for (const Magnitude& magnitude : magnitudes) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        const bool ties = seed % 2 == 0;  // quantized to 8 levels
+        Rng rng(seed);
+        std::vector<std::vector<Score>> scores(n, std::vector<Score>(m));
+        for (std::vector<Score>& row : scores) {
+          for (Score& score : row) {
+            double u = rng.NextDouble();
+            if (ties) {
+              u = std::floor(u * 8.0) / 8.0;
+            }
+            score = u * magnitude.scale + magnitude.shift;
+          }
+        }
+        const Database db = Database::FromScoreMatrix(scores).ValueOrDie();
+        AlgorithmOptions options;
+        options.score_floor = DeriveScoreFloor(db);
+        for (size_t k : {size_t{1}, size_t{10}, size_t{50}}) {
+          const std::string label = std::string(magnitude.name) +
+                                    " m=" + std::to_string(m) +
+                                    " seed=" + std::to_string(seed) +
+                                    " k=" + std::to_string(k);
+          const std::vector<ItemId> want =
+              run(AlgorithmKind::kNaive, options, db, TopKQuery{k, &sum})
+                  .Items();
+          for (AlgorithmKind kind : {AlgorithmKind::kNra, AlgorithmKind::kCa}) {
+            SCOPED_TRACE(ToString(kind) + " " + label);
+            const TopKResult walked =
+                run(kind, options, db, TopKQuery{k, &sum});
+            const TopKResult swept =
+                run(kind, options, db, TopKQuery{k, &ones});
+            ASSERT_EQ(walked.Items(), want);
+            ASSERT_EQ(swept.items.size(), walked.items.size());
+            for (size_t i = 0; i < walked.items.size(); ++i) {
+              EXPECT_EQ(swept.items[i].item, walked.items[i].item);
+              EXPECT_EQ(swept.items[i].score, walked.items[i].score);
+            }
+            EXPECT_EQ(swept.stop_position, walked.stop_position);
+            EXPECT_EQ(swept.stats.sorted_accesses,
+                      walked.stats.sorted_accesses);
+            EXPECT_EQ(swept.stats.random_accesses,
+                      walked.stats.random_accesses);
+            EXPECT_EQ(swept.stats.direct_accesses,
+                      walked.stats.direct_accesses);
+          }
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "core/algorithms.h"
+#include "core/execution_context.h"
 #include "gen/database_generator.h"
 #include "gen/paper_fixtures.h"
 #include "lists/scorer.h"
@@ -93,6 +94,50 @@ TEST(TputTest, UsesThreePhaseAccessPattern) {
   EXPECT_EQ(result.stats.direct_accesses, 0u);
   // Phase 1 reads at least k rows in every list.
   EXPECT_GE(result.stats.sorted_accesses, 4u * 10u);
+}
+
+// Phase 3 sweeps the pool once; no phase consults a group index, so the
+// pool keeps none.
+TEST(TputTest, PoolKeepsNoGroupIndex) {
+  const Database db = MakeUniformDatabase(1000, 4, 3);
+  SumScorer sum;
+  ExecutionContext context;
+  TopKResult result;
+  ASSERT_TRUE(MakeAlgorithm(AlgorithmKind::kTput)
+                  ->ExecuteInto(db, TopKQuery{10, &sum}, &context, &result)
+                  .ok());
+  EXPECT_GT(context.pool().size(), 0u);
+  EXPECT_EQ(context.pool().num_groups(), 0u);
+}
+
+// Phase 3 resolves its survivors in slot (first-seen) order. The order
+// decides how many random reads a random-access budget admits before it
+// trips (the governor is charged every 32 survivors); the anytime answer is
+// the threshold heap phase 2 left, so it does not depend on the order.
+TEST(TputTest, GovernedPhaseThreeResolvesSurvivorsInSlotOrder) {
+  const Database db = MakeUniformDatabase(200, 5, 1);
+  SumScorer sum;
+  const TopKQuery query{100, &sum};
+  AlgorithmOptions options;
+  options.governor.random_access_budget = 200;
+  const TopKResult result = MakeAlgorithm(AlgorithmKind::kTput, options)
+                                ->Execute(db, query)
+                                .ValueOrDie();
+  EXPECT_EQ(result.completion, Completion::kAccessBudget);
+  EXPECT_EQ(result.theta, 1.4238038041889267);
+  EXPECT_EQ(result.stats.sorted_accesses, 625u);
+  EXPECT_EQ(result.stats.random_accesses, 207u);
+
+  // Tripped at phase 3's first charge instead: the same certified answer.
+  options.governor.random_access_budget = 1;
+  const TopKResult first = MakeAlgorithm(AlgorithmKind::kTput, options)
+                               ->Execute(db, query)
+                               .ValueOrDie();
+  EXPECT_EQ(first.completion, Completion::kAccessBudget);
+  EXPECT_EQ(first.stats.random_accesses, 52u);
+  ASSERT_EQ(result.items.size(), query.k);
+  EXPECT_EQ(result.Items(), first.Items());
+  EXPECT_EQ(result.theta, first.theta);
 }
 
 TEST(TputTest, WorksOnPaperFigure1) {
