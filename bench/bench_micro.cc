@@ -54,11 +54,18 @@
 // main artifact (<path minus .json>-degradation.json). --quick trims the
 // grid and the per-cell seed count for CI.
 //
+// A scenario's series run in 5 rotating rounds inside one process: round r
+// runs every series' next fifth of its queries, starting at series r mod S,
+// and each series keeps its own warmed context across the rounds. Every
+// series reports its total wall time and its per-query median
+// (`per_query_ms_median`); compare medians of interleaved parent/change
+// pairs, not single totals.
+//
 // The BPA series is measured in two modes — a fresh ExecutionContext per
 // query (the pre-PR1 per-query allocation path) vs one reused context — so
 // the number stays comparable with BENCH_PR1.json. The two modes run as
-// interleaved chunk pairs (reused chunk, fresh chunk, repeated), not as two
-// sequential blocks: on a shared vCPU, minutes-apart blocks sit in
+// interleaved chunk pairs (reused chunk, fresh chunk, one pair per round),
+// not as two sequential blocks: on a shared vCPU, minutes-apart blocks sit in
 // different host-noise phases, which is exactly how BENCH_PR4.json recorded
 // the nonsensical uniform-10k `speedup_reused_vs_fresh: 0.977` (reused
 // "slower" than the allocating path); interleaving puts both modes in every
@@ -79,6 +86,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,83 +290,100 @@ BENCHMARK(BM_Bpa2EndToEnd);
 
 // --- batch throughput mode (--json) ---
 
-// Runs `queries` BPA executions and returns wall milliseconds. `reuse_context`
-// selects between the zero-allocation reused-context path and a fresh context
-// (plus result) per query, which reproduces the per-query allocation behavior
-// of the seed implementation.
+// Runs `queries` executions on one warmed, reused context (the
+// zero-allocation path) and returns wall milliseconds: the serving mode's
+// single-thread closed-loop baseline.
 double MeasureBatchMillis(const TopKAlgorithm& algorithm, const Database& db,
                           const TopKQuery& query, int queries,
-                          bool reuse_context, Score* checksum) {
+                          Score* checksum) {
   *checksum = 0.0;
-  if (reuse_context) {
-    ExecutionContext context;
-    TopKResult result;
-    for (int i = 0; i < 3; ++i) {  // warm-up
-      algorithm.ExecuteInto(db, query, &context, &result).Abort("warm-up");
-    }
-    Timer timer;
-    for (int i = 0; i < queries; ++i) {
-      algorithm.ExecuteInto(db, query, &context, &result).Abort("bench query");
-      // A governed run may return fewer than k items (anytime answer).
-      *checksum += result.items.empty() ? 0.0 : result.items.front().score;
-    }
-    return timer.ElapsedMillis();
-  }
-  Timer timer;
-  for (int i = 0; i < queries; ++i) {
-    ExecutionContext context;
-    const TopKResult result =
-        algorithm.Execute(db, query, &context).ValueOrDie();
-    *checksum += result.items.empty() ? 0.0 : result.items.front().score;
-  }
-  return timer.ElapsedMillis();
-}
-
-// Chunk pairs of the interleaved fresh-vs-reused comparison. 5 pairs spread
-// both modes across ~the whole measurement window; more would shrink chunks
-// below timer resolution for fast workloads.
-constexpr int kFreshReusedPairs = 5;
-
-// Measures the reused-context and fresh-context-per-query modes as
-// kFreshReusedPairs interleaved chunk pairs over `queries` executions each,
-// accumulating per-mode wall time. Both modes experience every host-noise
-// phase of the measurement window, so the reported speedup is a paired
-// comparison instead of a difference of two minutes-apart block averages
-// (see the file comment — the BENCH_PR4 0.977 anomaly).
-void MeasureInterleavedBatch(const TopKAlgorithm& algorithm,
-                             const Database& db, const TopKQuery& query,
-                             int queries, double* reused_ms, double* fresh_ms,
-                             Score* reused_checksum, Score* fresh_checksum) {
   ExecutionContext context;
   TopKResult result;
   for (int i = 0; i < 3; ++i) {  // warm-up
     algorithm.ExecuteInto(db, query, &context, &result).Abort("warm-up");
   }
-  *reused_ms = 0.0;
-  *fresh_ms = 0.0;
-  *reused_checksum = 0.0;
-  *fresh_checksum = 0.0;
-  int done_reused = 0;
-  int done_fresh = 0;
-  for (int pair = 1; pair <= kFreshReusedPairs; ++pair) {
-    const int target = queries * pair / kFreshReusedPairs;
-    Timer reused_timer;
-    for (; done_reused < target; ++done_reused) {
-      algorithm.ExecuteInto(db, query, &context, &result).Abort("bench query");
-      *reused_checksum +=
-          result.items.empty() ? 0.0 : result.items.front().score;
-    }
-    *reused_ms += reused_timer.ElapsedMillis();
-    Timer fresh_timer;
-    for (; done_fresh < target; ++done_fresh) {
-      ExecutionContext fresh_context;
-      const TopKResult fresh_result =
-          algorithm.Execute(db, query, &fresh_context).ValueOrDie();
-      *fresh_checksum +=
-          fresh_result.items.empty() ? 0.0 : fresh_result.items.front().score;
-    }
-    *fresh_ms += fresh_timer.ElapsedMillis();
+  Timer timer;
+  for (int i = 0; i < queries; ++i) {
+    algorithm.ExecuteInto(db, query, &context, &result).Abort("bench query");
+    // A governed run may return fewer than k items (anytime answer).
+    *checksum += result.items.empty() ? 0.0 : result.items.front().score;
   }
+  return timer.ElapsedMillis();
+}
+
+// Nearest-rank-with-interpolation percentile over a sorted sample.
+double Percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
+    return 0.0;
+  }
+  const double rank = p * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+// Rounds of a scenario's rotating measurement (see AppendScenarioJson); BPA's
+// fresh-vs-reused comparison runs one chunk pair per round. 5 rounds spread
+// every series across ~the whole measurement window; more would shrink
+// chunks below timer resolution for fast workloads.
+constexpr int kRounds = 5;
+
+// One series' measurement state across the rounds: its algorithm, its
+// access probe, its own warmed context, and the per-query wall times and
+// checksums of each mode.
+struct SeriesRun {
+  std::unique_ptr<TopKAlgorithm> algorithm;
+  TopKResult probe;
+  ExecutionContext context;
+  TopKResult result;
+  std::vector<double> reused_ms;
+  std::vector<double> fresh_ms;
+  Score reused_checksum = 0.0;
+  Score fresh_checksum = 0.0;
+};
+
+// Runs the series until `times` holds `target` per-query wall times: on its
+// warmed context, or (fresh) on a new context and result per query, which
+// reproduces the per-query allocation behavior of the seed implementation.
+void RunChunk(const Database& db, const TopKQuery& query, int target,
+              bool fresh, SeriesRun* run) {
+  std::vector<double>& times = fresh ? run->fresh_ms : run->reused_ms;
+  Score& checksum = fresh ? run->fresh_checksum : run->reused_checksum;
+  while (times.size() < static_cast<size_t>(target)) {
+    Timer timer;
+    if (fresh) {
+      ExecutionContext context;
+      const TopKResult result =
+          run->algorithm->Execute(db, query, &context).ValueOrDie();
+      checksum += result.items.empty() ? 0.0 : result.items.front().score;
+    } else {
+      run->algorithm->ExecuteInto(db, query, &run->context, &run->result)
+          .Abort("bench query");
+      // A governed run may return fewer than k items (anytime answer).
+      checksum +=
+          run->result.items.empty() ? 0.0 : run->result.items.front().score;
+    }
+    times.push_back(timer.ElapsedMillis());
+  }
+}
+
+double TotalMs(const std::vector<double>& times) {
+  return std::accumulate(times.begin(), times.end(), 0.0);
+}
+
+// `"wall_ms": ..., "queries_per_sec": ..., "per_query_ms_median": ...` of
+// one mode's per-query wall times.
+std::string ModeTimesJson(std::vector<double> times) {
+  const double wall_ms = TotalMs(times);
+  std::sort(times.begin(), times.end());
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "\"wall_ms\": %.3f, \"queries_per_sec\": %.1f,"
+                " \"per_query_ms_median\": %.4f",
+                wall_ms, 1000.0 * static_cast<double>(times.size()) / wall_ms,
+                Percentile(times, 0.5));
+  return line;
 }
 
 // One per-algorithm series of the throughput report.
@@ -468,43 +493,64 @@ bool AppendScenarioJson(const ThroughputScenario& scenario,
                 quick ? "true" : "false");
   json += line;
 
-  bool first = true;
-  for (const ThroughputSeries& s : scenario.series) {
-    const auto algorithm = MakeAlgorithm(s.kind, options);
+  // Set every series up first: its algorithm, the access probe, and a
+  // warm-up of its own context, which it keeps across the rounds.
+  const size_t num_series = scenario.series.size();
+  std::vector<SeriesRun> runs(num_series);
+  for (size_t j = 0; j < num_series; ++j) {
+    const ThroughputSeries& s = scenario.series[j];
+    SeriesRun& run = runs[j];
+    run.algorithm = MakeAlgorithm(s.kind, options);
     // Access counts are deterministic per query; probe them once. The probe
     // also validates the scenario against the algorithm (e.g. the pool
     // family's 64-list cap) so an unservable workload reports the status
     // instead of aborting mid-measurement.
-    const auto probe_result = algorithm->Execute(db, query);
+    auto probe_result = run.algorithm->Execute(db, query);
     if (!probe_result.ok()) {
       std::fprintf(stderr, "%s cannot serve this workload: %s\n",
                    ToString(s.kind).c_str(),
                    probe_result.status().ToString().c_str());
       return false;
     }
-    const TopKResult& probe = probe_result.ValueOrDie();
-
-    Score reused_checksum = 0.0;
-    Score fresh_checksum = 0.0;
-    double reused_ms = 0.0;
-    double fresh_ms = 0.0;
-    if (s.measure_fresh) {
-      MeasureInterleavedBatch(*algorithm, db, query, s.queries, &reused_ms,
-                              &fresh_ms, &reused_checksum, &fresh_checksum);
-      // A wall-clock deadline trips nondeterministically, so the two modes
-      // may legitimately return different anytime prefixes; access-budget
-      // trips are deterministic and keep the checksums comparable.
-      if (config.deadline_ms == 0.0 && fresh_checksum != reused_checksum) {
-        std::fprintf(stderr, "%s checksum mismatch: %f vs %f\n",
-                     ToString(s.kind).c_str(), fresh_checksum,
-                     reused_checksum);
-        return false;
-      }
-    } else {
-      reused_ms = MeasureBatchMillis(*algorithm, db, query, s.queries,
-                                     /*reuse_context=*/true, &reused_checksum);
+    run.probe = std::move(probe_result).ValueUnsafe();
+    for (int i = 0; i < 3; ++i) {  // warm-up
+      run.algorithm->ExecuteInto(db, query, &run.context, &run.result)
+          .Abort("warm-up");
     }
-    const double reused_qps = 1000.0 * s.queries / reused_ms;
+  }
+
+  // Round r runs every series' next fifth of its queries, starting at series
+  // r mod S, so no series always runs first or last: on a shared host that
+  // slows whole seconds at a time, each series meets every noise phase of
+  // the window. BPA's fresh-vs-reused pair interleaves its chunks within
+  // each round.
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t j = 0; j < num_series; ++j) {
+      const size_t idx = (round + j) % num_series;
+      const ThroughputSeries& s = scenario.series[idx];
+      const int target = s.queries * (round + 1) / kRounds;
+      RunChunk(db, query, target, /*fresh=*/false, &runs[idx]);
+      if (s.measure_fresh) {
+        RunChunk(db, query, target, /*fresh=*/true, &runs[idx]);
+      }
+    }
+  }
+
+  bool first = true;
+  for (size_t j = 0; j < num_series; ++j) {
+    const ThroughputSeries& s = scenario.series[j];
+    const SeriesRun& run = runs[j];
+    const TopKResult& probe = run.probe;
+    // A wall-clock deadline trips nondeterministically, so the two modes
+    // may legitimately return different anytime prefixes; access-budget
+    // trips are deterministic and keep the checksums comparable.
+    if (s.measure_fresh && config.deadline_ms == 0.0 &&
+        run.fresh_checksum != run.reused_checksum) {
+      std::fprintf(stderr, "%s checksum mismatch: %f vs %f\n",
+                   ToString(s.kind).c_str(), run.fresh_checksum,
+                   run.reused_checksum);
+      return false;
+    }
 
     if (!first) {
       json += ",\n";
@@ -515,14 +561,13 @@ bool AppendScenarioJson(const ThroughputScenario& scenario,
         "      {\"algorithm\": \"%s\", \"queries\": %d,\n"
         "       \"per_query_accesses\": {\"sorted\": %llu, \"random\": %llu,"
         " \"direct\": %llu, \"total\": %llu},\n"
-        "       \"reused_context\": {\"wall_ms\": %.3f,"
-        " \"queries_per_sec\": %.1f}",
+        "       \"reused_context\": {%s}",
         ToString(s.kind).c_str(), s.queries,
         static_cast<unsigned long long>(probe.stats.sorted_accesses),
         static_cast<unsigned long long>(probe.stats.random_accesses),
         static_cast<unsigned long long>(probe.stats.direct_accesses),
         static_cast<unsigned long long>(probe.stats.TotalAccesses()),
-        reused_ms, reused_qps);
+        ModeTimesJson(run.reused_ms).c_str());
     json += line;
 
     if (options.governor.enabled()) {
@@ -534,12 +579,11 @@ bool AppendScenarioJson(const ThroughputScenario& scenario,
     }
     if (s.measure_fresh) {
       std::snprintf(line, sizeof(line),
-                    ",\n       \"fresh_context_per_query\": {\"wall_ms\":"
-                    " %.3f, \"queries_per_sec\": %.1f},\n"
+                    ",\n       \"fresh_context_per_query\": {%s},\n"
                     "       \"fresh_reused_interleaved_pairs\": %d,\n"
                     "       \"speedup_reused_vs_fresh\": %.3f",
-                    fresh_ms, 1000.0 * s.queries / fresh_ms,
-                    kFreshReusedPairs, fresh_ms / reused_ms);
+                    ModeTimesJson(run.fresh_ms).c_str(), kRounds,
+                    TotalMs(run.fresh_ms) / TotalMs(run.reused_ms));
       json += line;
     }
     json += "}";
@@ -779,18 +823,6 @@ int RunDegradeMode(const ThroughputConfig& config) {
 
 // --- open-loop serving mode (--serve-json) ---
 
-// Nearest-rank-with-interpolation percentile over a sorted sample.
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 // One offered-rate point of the open-loop sweep: Poisson arrivals at
 // `offered_qps` submitted against a fresh TopKServer. Latency is measured
 // from each request's *scheduled* arrival time, not from the (possibly late)
@@ -961,7 +993,7 @@ int RunServeMode(const ThroughputConfig& config) {
     Score checksum = 0.0;
     const double closed_ms =
         MeasureBatchMillis(*algorithm, db, query, s.baseline_queries,
-                           /*reuse_context=*/true, &checksum);
+                           &checksum);
     const double closed_qps = 1000.0 * s.baseline_queries / closed_ms;
 
     if (!first_series) {

@@ -12,7 +12,6 @@
 #include "core/fa_algorithm.h"
 #include "core/naive_algorithm.h"
 #include "core/nra_algorithm.h"
-#include "core/query_engine.h"
 #include "core/ta_algorithm.h"
 #include "core/topk_algorithm.h"
 #include "core/topk_buffer.h"

@@ -32,6 +32,7 @@ void CandidatePool::Reset(size_t n, size_t m, size_t k, Score floor,
   k_ = k;
   floor_ = floor;
   group_index_ = groups;
+  SizeGroupArrays();
   size_ = 0;
   peak_size_ = 0;
   heap_.clear();
@@ -61,10 +62,8 @@ uint32_t CandidatePool::Insert(ItemId item) {
   const uint32_t slot = static_cast<uint32_t>(size_++);
   peak_size_ = std::max(peak_size_, size_);
   if (slot == slots_.size()) {
-    const size_t grown = std::max<size_t>(64, slots_.size() * 2);
-    slots_.resize(arena_, grown);
-    group_pos_.resize(arena_, grown);
-    births_.resize(arena_, grown);
+    slots_.resize(arena_, std::max<size_t>(64, slots_.size() * 2));
+    SizeGroupArrays();
   }
   if (rows_.size() < static_cast<size_t>(size_) * m_) {
     rows_.resize(arena_,
@@ -72,10 +71,21 @@ uint32_t CandidatePool::Insert(ItemId item) {
   }
   slots_[slot] = Slot{/*mask=*/0, -std::numeric_limits<Score>::infinity(),
                       item, /*known=*/0, kNoSlot, kNoGroup};
-  births_[slot] = 0;  // never a live min entry until the first registration
+  if (has_min_side()) {
+    births_[slot] = 0;  // never a live min entry until the first registration
+  }
   std::fill_n(&rows_[static_cast<size_t>(slot) * m_], m_, floor_);
   index_[item] = IndexCell{slot, epoch_};
   return slot;
+}
+
+void CandidatePool::SizeGroupArrays() {
+  if (group_index_ != GroupIndex::kNone && group_pos_.size() < slots_.size()) {
+    group_pos_.resize(arena_, slots_.size());
+  }
+  if (has_min_side() && births_.size() < slots_.size()) {
+    births_.resize(arena_, slots_.size());
+  }
 }
 
 void CandidatePool::SiftUp(size_t pos) {
@@ -401,12 +411,14 @@ void CandidatePool::Erase(uint32_t slot) {
   if (moved.heap_pos != kNoSlot) {
     heap_[moved.heap_pos] = slot;
   }
-  group_pos_[slot] = group_pos_[last];
+  if (moved.group != kNoGroup) {
+    group_pos_[slot] = group_pos_[last];
+    groups_[moved.group].members[group_pos_[slot]] = slot;
+  }
   // The min side needs no fixup: entries reference (item, stamp), not slots,
   // and both move with the candidate.
-  births_[slot] = births_[last];
-  if (moved.group != kNoGroup) {
-    groups_[moved.group].members[group_pos_[slot]] = slot;
+  if (has_min_side()) {
+    births_[slot] = births_[last];
   }
   // Retarget the moved item's index cell at its new slot.
   index_[moved.item].slot = slot;

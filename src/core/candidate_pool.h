@@ -382,6 +382,11 @@ class CandidatePool {
   /// FindOrInsert's miss path: appends a fresh candidate for `item`.
   uint32_t Insert(ItemId item);
 
+  /// Sizes the arrays only group surgery reads to the slot capacity, for
+  /// the query's GroupIndex: group_pos_ unless kNone, births_ under
+  /// kDualHeap only. Called when a query starts and when the slots grow.
+  void SizeGroupArrays();
+
   // One per-mask candidate group: the member slots form a strongest-at-root
   // binary heap in `members`; under kDualHeap `min_entries` holds the
   // weakest-at-root entry heap of the min side (live entries + lazily
@@ -445,7 +450,8 @@ class CandidatePool {
   static_assert(sizeof(Slot) == 32, "two slot records per cache line");
 
   // Candidate store, indexed by slot < size_. Only group surgery and CA's
-  // min side touch group_pos_ and births_, so they stay out of the record.
+  // min side touch group_pos_ and births_, so they stay out of the record
+  // (and are sized per GroupIndex, see SizeGroupArrays).
   ArenaVec<Slot> slots_;
   ArenaVec<Score> rows_;          // size_ * m_, strided by m_
   ArenaVec<uint32_t> group_pos_;  // slot -> index in its group's max heap

@@ -3,10 +3,11 @@
 // ExecutionContext: the reusable per-query scratch state of one algorithm
 // execution — the access engine, best-position trackers, top-k buffer, score
 // scratch vectors and the memoization table. Algorithms borrow a context per
-// Run(); callers that execute many queries (QueryEngine workers, benchmarks,
-// servers) keep one context per thread and reuse it, which makes the hot path
-// allocation-free after warm-up: every structure resets in O(1) or O(k)/O(m)
-// writes into storage that is retained across queries and only ever grows.
+// Run(); callers that execute many queries (TopKServer workers, benchmarks,
+// coordinators) keep one context per thread and reuse it, which makes the
+// hot path allocation-free after warm-up: every structure resets in O(1) or
+// O(k)/O(m) writes into storage that is retained across queries and only
+// ever grows.
 
 #ifndef TOPK_CORE_EXECUTION_CONTEXT_H_
 #define TOPK_CORE_EXECUTION_CONTEXT_H_

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <utility>
 
 namespace topk {
@@ -12,10 +13,9 @@ namespace {
 
 constexpr size_t kNumKinds = static_cast<size_t>(AlgorithmKind::kCa) + 1;
 
-std::chrono::nanoseconds MillisToDuration(double ms) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double, std::milli>(ms));
-}
+// Watchdog scan period. Deadline enforcement quantizes to this (plus the
+// algorithm's round length), so it stays well under the finest SLA.
+constexpr double kWatchdogPeriodMs = 0.5;
 
 }  // namespace
 
@@ -28,14 +28,11 @@ TopKServer::TopKServer(const Database* db, ServerOptions options)
     options_.queue_capacity = 1;
   }
   shed_algorithms_.resize(kNumKinds);
+  contexts_.reserve(options_.num_threads);
   slots_.reserve(options_.num_threads);
   for (size_t i = 0; i < options_.num_threads; ++i) {
+    contexts_.push_back(std::make_unique<ExecutionContext>());
     slots_.push_back(std::make_unique<InflightSlot>());
-  }
-  // Materialize every worker context up front: worker_context(i) stays valid
-  // from construction on, and no worker pays pool growth at first request.
-  for (size_t i = 0; i < options_.num_threads; ++i) {
-    contexts_.Get(i);
   }
   workers_.reserve(options_.num_threads);
   for (size_t i = 0; i < options_.num_threads; ++i) {
@@ -63,11 +60,26 @@ bool TopKServer::SubmitWithCallback(const ServerRequest& request,
 
 bool TopKServer::Admit(const ServerRequest& request, Callback deliver) {
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+  if (!std::isfinite(request.deadline_ms)) {
+    counters_.failed.fetch_add(1, std::memory_order_relaxed);
+    deliver(Result<TopKResult>(Status::Invalid(
+        "server request deadline_ms must be finite; got deadline_ms = ",
+        request.deadline_ms)));
+    return false;
+  }
   Pending pending;
   pending.request = request;
-  pending.has_deadline = request.deadline_ms > 0.0;
-  if (pending.has_deadline) {
-    pending.deadline_at = Clock::now() + MillisToDuration(request.deadline_ms);
+  if (request.deadline_ms > 0.0) {
+    // Compared in floating point before converting, so a deadline past what
+    // the clock can represent never fires instead of overflowing.
+    const std::chrono::duration<double, std::milli> budget(
+        request.deadline_ms);
+    const Clock::time_point now = Clock::now();
+    if (budget < Clock::time_point::max() - now) {
+      pending.has_deadline = true;
+      pending.deadline_at =
+          now + std::chrono::duration_cast<Clock::duration>(budget);
+    }
   }
   bool refused_stopping = false;
   {
@@ -108,7 +120,7 @@ void TopKServer::ServeDegraded(const ServerRequest& request,
     auto& algorithm = shed_algorithms_[static_cast<size_t>(request.kind)];
     if (algorithm == nullptr) {
       AlgorithmOptions degraded = options_.algorithm_options;
-      degraded.governor.total_access_budget = options_.degraded_access_budget;
+      degraded.governor.total_access_budget = kDegradedAccessBudget;
       // Degraded mode exists to answer, not to error: anytime results even
       // when the server-wide options are strict.
       degraded.governor.strict = false;
@@ -125,7 +137,7 @@ void TopKServer::ServeDegraded(const ServerRequest& request,
 }
 
 void TopKServer::WorkerLoop(size_t worker_index) {
-  ExecutionContext* context = contexts_.Get(worker_index);
+  ExecutionContext* context = contexts_[worker_index].get();
   InflightSlot& slot = *slots_[worker_index];
   std::array<std::unique_ptr<TopKAlgorithm>, kNumKinds> algorithms;
   TopKResult scratch;
@@ -189,10 +201,8 @@ void TopKServer::WorkerLoop(size_t worker_index) {
 }
 
 void TopKServer::WatchdogLoop() {
-  const std::chrono::nanoseconds period =
-      MillisToDuration(options_.watchdog_period_ms > 0.0
-                           ? options_.watchdog_period_ms
-                           : 0.5);
+  const auto period = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double, std::milli>(kWatchdogPeriodMs));
   std::unique_lock<std::mutex> lock(watchdog_mu_);
   for (;;) {
     if (watchdog_cv_.wait_for(lock, period, [&] { return watchdog_stop_; })) {

@@ -11,10 +11,10 @@
 //   * ShedPolicy::kReject      — the request completes immediately with
 //                                Status::ResourceExhausted.
 //   * ShedPolicy::kServeDegraded — the request runs inline on the submitting
-//                                thread under a small access budget and
-//                                returns a certified θ-bounded anytime
-//                                answer (TopKResult::completion names the
-//                                tripped budget).
+//                                thread under kDegradedAccessBudget total
+//                                accesses and returns a certified θ-bounded
+//                                anytime answer (TopKResult::completion names
+//                                the tripped budget).
 //
 // Deadlines. Each request may carry an SLA deadline (ServerRequest::
 // deadline_ms, measured from admission). Worker algorithm instances are
@@ -37,6 +37,9 @@
 // Steady state allocates nothing on the execution path: contexts, results
 // and algorithm instances are reused per worker; only the future/promise
 // plumbing of each request allocates.
+//
+// Batches are clients like any other: Submit every query, then wait on the
+// futures. A batch larger than queue_capacity sheds per shed_policy.
 
 #ifndef TOPK_CORE_TOPK_SERVER_H_
 #define TOPK_CORE_TOPK_SERVER_H_
@@ -55,7 +58,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/context_pool.h"
+#include "core/execution_context.h"
 #include "core/topk_algorithm.h"
 #include "lists/database.h"
 
@@ -73,10 +76,11 @@ struct ServerRequest {
   TopKQuery query;
 
   /// Per-request deadline in milliseconds, measured from admission
-  /// (Submit time). <= 0 disables. An in-flight request past its deadline is
-  /// cancelled and returns a certified anytime answer tagged
-  /// Completion::kDeadline; a request already overdue at dequeue completes
-  /// with Status::ResourceExhausted.
+  /// (Submit time). <= 0 disables; a non-finite value is Invalid; a finite
+  /// value past what the clock can represent never fires. An in-flight
+  /// request past its deadline is cancelled and returns a certified anytime
+  /// answer tagged Completion::kDeadline; a request already overdue at
+  /// dequeue completes with Status::ResourceExhausted.
   double deadline_ms = 0.0;
 };
 
@@ -89,14 +93,6 @@ struct ServerOptions {
   size_t queue_capacity = 256;
 
   ShedPolicy shed_policy = ShedPolicy::kReject;
-
-  /// Total-access budget of degraded (shed-inline) executions under
-  /// ShedPolicy::kServeDegraded.
-  uint64_t degraded_access_budget = 512;
-
-  /// Watchdog scan period. Deadline enforcement quantizes to this (plus the
-  /// algorithm's round length), so keep it well under the finest SLA.
-  double watchdog_period_ms = 0.5;
 
   /// Base options for the cached worker algorithms. Per-request deadlines do
   /// NOT go through these (see the watchdog comment above); limits set here
@@ -124,6 +120,10 @@ class TopKServer {
  public:
   using Callback = std::function<void(Result<TopKResult>)>;
 
+  /// Total-access budget of degraded (shed-inline) executions under
+  /// ShedPolicy::kServeDegraded.
+  static constexpr uint64_t kDegradedAccessBudget = 512;
+
   /// \param db non-owning; must outlive the server.
   explicit TopKServer(const Database* db, ServerOptions options = {});
   ~TopKServer();
@@ -150,8 +150,9 @@ class TopKServer {
   size_t num_threads() const { return workers_.size(); }
 
   /// Test access: worker `i`'s execution context (for arena byte-stability
-  /// pins). Do not touch while the server is running requests.
-  ExecutionContext& worker_context(size_t i) { return *contexts_.Get(i); }
+  /// pins); `i` must be below num_threads(). Do not touch while the server
+  /// is running requests.
+  ExecutionContext& worker_context(size_t i) { return *contexts_.at(i); }
 
  private:
   using Clock = QueryGovernor::DeadlineClock;
@@ -195,7 +196,10 @@ class TopKServer {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
 
-  ContextPool contexts_;
+  // One heap-allocated context per worker, filled in the constructor and
+  // never resized: no two workers' governors (which the watchdog writes)
+  // share a cache line.
+  std::vector<std::unique_ptr<ExecutionContext>> contexts_;
   std::vector<std::unique_ptr<InflightSlot>> slots_;
   std::vector<std::thread> workers_;
   std::thread watchdog_;

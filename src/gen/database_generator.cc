@@ -19,7 +19,9 @@ Database MakeUniformDatabase(size_t n, size_t m, uint64_t seed) {
   std::vector<SortedList> lists;
   lists.reserve(m);
   for (size_t i = 0; i < m; ++i) {
-    lists.push_back(SortedList::FromScores(UniformScoreVector(n, &rng)));
+    // Finite by construction.
+    lists.push_back(
+        SortedList::FromScores(UniformScoreVector(n, &rng)).ValueOrDie());
   }
   return Database::Make(std::move(lists)).ValueOrDie();
 }
@@ -29,7 +31,9 @@ Database MakeGaussianDatabase(size_t n, size_t m, uint64_t seed) {
   std::vector<SortedList> lists;
   lists.reserve(m);
   for (size_t i = 0; i < m; ++i) {
-    lists.push_back(SortedList::FromScores(GaussianScoreVector(n, &rng)));
+    // Finite by construction.
+    lists.push_back(
+        SortedList::FromScores(GaussianScoreVector(n, &rng)).ValueOrDie());
   }
   return Database::Make(std::move(lists)).ValueOrDie();
 }

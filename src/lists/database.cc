@@ -5,10 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #ifdef __linux__
 #include <sys/mman.h>
 #endif
+
+#include "common/macros.h"
 
 namespace topk {
 
@@ -119,7 +122,8 @@ Result<Database> Database::FromScoreMatrix(
     for (size_t i = 0; i < scores.size(); ++i) {
       column[i] = scores[i][j];
     }
-    lists.push_back(SortedList::FromScores(column));
+    TOPK_ASSIGN_OR_RETURN(SortedList list, SortedList::FromScores(column));
+    lists.push_back(std::move(list));
   }
   return Make(std::move(lists));
 }

@@ -19,14 +19,12 @@ bool DescendingScoreOrder(const ListEntry& a, const ListEntry& b) {
 
 }  // namespace
 
-SortedList SortedList::FromScores(const std::vector<Score>& scores) {
+Result<SortedList> SortedList::FromScores(const std::vector<Score>& scores) {
   std::vector<ListEntry> entries(scores.size());
   for (size_t i = 0; i < scores.size(); ++i) {
     entries[i] = ListEntry{static_cast<ItemId>(i), scores[i]};
   }
-  SortedList list;
-  list.BuildFrom(std::move(entries));
-  return list;
+  return FromEntries(std::move(entries));
 }
 
 Result<SortedList> SortedList::FromEntries(std::vector<ListEntry> entries) {

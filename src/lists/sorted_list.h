@@ -32,8 +32,9 @@ class SortedList {
   SortedList() = default;
 
   /// Builds a list over items 0..scores.size()-1 where item i has local score
-  /// scores[i]. Always succeeds (every id appears exactly once by construction).
-  static SortedList FromScores(const std::vector<Score>& scores);
+  /// scores[i]. Fails with Status::Invalid, naming the item, on a non-finite
+  /// score (it goes through FromEntries' check).
+  static Result<SortedList> FromScores(const std::vector<Score>& scores);
 
   /// Builds a list from arbitrary (item, score) pairs. Fails with
   /// Status::Invalid unless the items are exactly 0..n-1, each once.

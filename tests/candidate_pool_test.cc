@@ -514,6 +514,87 @@ TEST(CandidatePoolTest, NoGroupIndexModeNeverRegisters) {
   }
 }
 
+// Runs a seeded stream of the run loops' pool operations (record a score and
+// publish the bound, erase a non-heap candidate) over items [0, n) and
+// fingerprints the final state: the answer, and every group's mask, member
+// items and min-side keys with their liveness. Registration stamps differ
+// between pools by design (they never reset), so only liveness is compared.
+std::string RunPoolOps(CandidatePool& pool, GroupIndex groups, size_t n,
+                       uint64_t seed) {
+  constexpr size_t kLists = 4;
+  Rng rng(seed);
+  pool.Reset(n, kLists, /*k=*/5, /*floor=*/0.0, groups);
+  for (size_t op = 0; op < 4 * n; ++op) {
+    if (rng.NextBounded(10) < 9) {
+      const uint32_t slot =
+          pool.FindOrInsert(static_cast<ItemId>(rng.NextBounded(n)));
+      if (pool.SetSeen(slot, rng.NextBounded(kLists),
+                       1.0 + rng.NextDouble())) {
+        Score sum = 0.0;
+        for (size_t i = 0; i < kLists; ++i) {
+          sum += pool.row(slot)[i];
+        }
+        pool.OfferLower(slot, sum);
+      }
+    } else if (pool.size() > 0) {
+      const uint32_t slot =
+          static_cast<uint32_t>(rng.NextBounded(pool.size()));
+      if (!pool.InHeap(slot)) {
+        pool.Erase(slot);
+      }
+    }
+  }
+  std::vector<ItemId> answer;
+  pool.AppendHeapItems(&answer);
+  std::string out = "answer";
+  for (ItemId item : answer) {
+    out += " " + std::to_string(item);
+  }
+  out += "\nsize " + std::to_string(pool.size()) + " peak " +
+         std::to_string(pool.peak_size());
+  for (size_t g = 0; g < pool.num_groups(); ++g) {
+    out += "\ngroup " + std::to_string(pool.group_mask(g)) + ":";
+    for (uint32_t slot : pool.group_members(g)) {
+      out += " " + std::to_string(pool.item_at(slot));
+    }
+    out += " |";
+    for (const CandidatePool::MinEntry& entry : pool.group_min_entries(g)) {
+      out += " " + std::to_string(entry.item) + "@" +
+             std::to_string(entry.lower) +
+             (pool.MinEntryLive(entry) ? "+" : "-");
+    }
+  }
+  return out;
+}
+
+// The group arrays are sized per GroupIndex: kNone queries grow the slots
+// past them, so the first grouped query after one must size them to the
+// slot capacity before any slot is registered (Debug builds bounds-check
+// every access and catch an unsized array).
+TEST(CandidatePoolTest, GroupedQueryAfterUngroupedGrowthMatchesAFreshPool) {
+  struct Query {
+    GroupIndex groups;
+    size_t n;
+  };
+  const Query queries[] = {
+      {GroupIndex::kNone, 2000},     {GroupIndex::kDualHeap, 2000},
+      {GroupIndex::kNone, 5000},     {GroupIndex::kMaxSide, 5000},
+      {GroupIndex::kDualHeap, 5000}, {GroupIndex::kMaxSide, 300},
+  };
+  CandidatePool shared;
+  uint64_t seed = 91;
+  for (const Query& query : queries) {
+    CandidatePool fresh;
+    const std::string got = RunPoolOps(shared, query.groups, query.n, seed);
+    if (query.groups != GroupIndex::kNone) {
+      ExpectGroupIndexConsistent(shared);
+    }
+    EXPECT_EQ(got, RunPoolOps(fresh, query.groups, query.n, seed))
+        << "n = " << query.n << ", seed " << seed;
+    ++seed;
+  }
+}
+
 // --- the direct item→slot index ---
 
 TEST(CandidatePoolTest, IndexCoversTheFirstAndLastItemAndNothingPastN) {

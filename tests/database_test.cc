@@ -16,7 +16,7 @@ namespace {
 // A database of the one list built from `scores` (item i scores scores[i]).
 Database OneList(const std::vector<Score>& scores) {
   std::vector<SortedList> lists;
-  lists.push_back(SortedList::FromScores(scores));
+  lists.push_back(SortedList::FromScores(scores).ValueOrDie());
   return Database::Make(std::move(lists)).ValueOrDie();
 }
 
@@ -53,8 +53,8 @@ TEST(DatabaseTest, MakeRejectsEmptyLists) {
 
 TEST(DatabaseTest, MakeRejectsSizeMismatch) {
   std::vector<SortedList> lists;
-  lists.push_back(SortedList::FromScores({1.0, 2.0}));
-  lists.push_back(SortedList::FromScores({1.0, 2.0, 3.0}));
+  lists.push_back(SortedList::FromScores({1.0, 2.0}).ValueOrDie());
+  lists.push_back(SortedList::FromScores({1.0, 2.0, 3.0}).ValueOrDie());
   Result<Database> r = Database::Make(std::move(lists));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalid());

@@ -12,7 +12,7 @@ namespace topk {
 namespace {
 
 TEST(SortedListTest, FromScoresSortsDescending) {
-  SortedList list = SortedList::FromScores({0.2, 0.9, 0.5});
+  SortedList list = SortedList::FromScores({0.2, 0.9, 0.5}).ValueOrDie();
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list.EntryAt(1).item, 1u);
   EXPECT_DOUBLE_EQ(list.EntryAt(1).score, 0.9);
@@ -21,7 +21,7 @@ TEST(SortedListTest, FromScoresSortsDescending) {
 }
 
 TEST(SortedListTest, TiesBrokenByAscendingItemId) {
-  SortedList list = SortedList::FromScores({0.5, 0.5, 0.9, 0.5});
+  SortedList list = SortedList::FromScores({0.5, 0.5, 0.9, 0.5}).ValueOrDie();
   EXPECT_EQ(list.EntryAt(1).item, 2u);
   EXPECT_EQ(list.EntryAt(2).item, 0u);
   EXPECT_EQ(list.EntryAt(3).item, 1u);
@@ -29,14 +29,16 @@ TEST(SortedListTest, TiesBrokenByAscendingItemId) {
 }
 
 TEST(SortedListTest, MinMaxScore) {
-  SortedList list = SortedList::FromScores({3.0, 1.0, 2.0});
+  SortedList list = SortedList::FromScores({3.0, 1.0, 2.0}).ValueOrDie();
   EXPECT_DOUBLE_EQ(list.MaxScore(), 3.0);
   EXPECT_DOUBLE_EQ(list.MinScore(), 1.0);
 }
 
 TEST(SortedListTest, AllScoresNonNegative) {
-  EXPECT_TRUE(SortedList::FromScores({0.0, 1.0}).AllScoresNonNegative());
-  EXPECT_FALSE(SortedList::FromScores({-0.1, 1.0}).AllScoresNonNegative());
+  EXPECT_TRUE(
+      SortedList::FromScores({0.0, 1.0}).ValueOrDie().AllScoresNonNegative());
+  EXPECT_FALSE(
+      SortedList::FromScores({-0.1, 1.0}).ValueOrDie().AllScoresNonNegative());
 }
 
 TEST(SortedListTest, FromEntriesAcceptsPermutation) {
@@ -76,8 +78,20 @@ TEST(SortedListTest, FromEntriesRejectsNonFiniteScores) {
   }
 }
 
+TEST(SortedListTest, FromScoresRejectsNonFiniteScores) {
+  for (const Score bad : {std::numeric_limits<Score>::quiet_NaN(),
+                          std::numeric_limits<Score>::infinity(),
+                          -std::numeric_limits<Score>::infinity()}) {
+    Result<SortedList> result = SortedList::FromScores({5.0, 1.0, bad, 2.0});
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalid());
+    EXPECT_NE(result.status().message().find("item id 2"), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST(SortedListTest, EntryAtCheckedBounds) {
-  SortedList list = SortedList::FromScores({1.0, 2.0});
+  SortedList list = SortedList::FromScores({1.0, 2.0}).ValueOrDie();
   EXPECT_TRUE(list.EntryAtChecked(1).ok());
   EXPECT_TRUE(list.EntryAtChecked(2).ok());
   EXPECT_TRUE(list.EntryAtChecked(0).status().IsOutOfRange());
@@ -91,13 +105,13 @@ TEST(SortedListTest, EmptyList) {
 }
 
 TEST(SortedListTest, SingleItem) {
-  SortedList list = SortedList::FromScores({3.5});
+  SortedList list = SortedList::FromScores({3.5}).ValueOrDie();
   EXPECT_EQ(list.size(), 1u);
   EXPECT_EQ(list.EntryAt(1).item, 0u);
 }
 
 TEST(SortedListTest, NegativeScoresSupported) {
-  SortedList list = SortedList::FromScores({-1.0, -3.0, 2.0});
+  SortedList list = SortedList::FromScores({-1.0, -3.0, 2.0}).ValueOrDie();
   EXPECT_EQ(list.EntryAt(1).item, 2u);
   EXPECT_EQ(list.EntryAt(2).item, 0u);
   EXPECT_EQ(list.EntryAt(3).item, 1u);
@@ -110,7 +124,7 @@ TEST(SortedListTest, LargeListRoundTrip) {
   for (size_t i = 0; i < n; ++i) {
     scores[i] = static_cast<Score>((i * 7919) % n);
   }
-  SortedList list = SortedList::FromScores(scores);
+  SortedList list = SortedList::FromScores(scores).ValueOrDie();
   ASSERT_EQ(list.size(), n);
   // Descending order invariant.
   for (Position p = 2; p <= n; ++p) {

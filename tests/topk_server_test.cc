@@ -2,10 +2,11 @@
 //
 // TopKServer: submission/completion plumbing, admission control (both shed
 // policies), watchdog deadline cancellation with certified anytime answers,
-// and the warmed-worker steady state (arena byte stability). The scorers
-// below give the tests deterministic handles on worker timing: GateScorer
-// parks a worker mid-query until released, SlowScorer stretches every
-// aggregation so a deadline reliably lands mid-run.
+// the warmed-worker steady state (arena byte stability), and batches run as
+// server clients (submit every query, then wait). The scorers below give the
+// tests deterministic handles on worker timing: GateScorer parks a worker
+// mid-query until released, SlowScorer stretches every aggregation so a
+// deadline reliably lands mid-run.
 
 #include "core/topk_server.h"
 
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -203,7 +205,6 @@ TEST_F(TopKServerTest, FullQueueServesDegradedAnytimeAnswer) {
   options.num_threads = 1;
   options.queue_capacity = 1;
   options.shed_policy = ShedPolicy::kServeDegraded;
-  options.degraded_access_budget = 32;  // far below the exact run's cost
   TopKServer server(&db_, options);
 
   auto running = server.Submit(ServerRequest{
@@ -222,7 +223,8 @@ TEST_F(TopKServerTest, FullQueueServesDegradedAnytimeAnswer) {
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(degraded.ValueUnsafe().completion, Completion::kAccessBudget);
   EXPECT_GE(degraded.ValueUnsafe().theta, 1.0);
-  EXPECT_LE(degraded.ValueUnsafe().stats.TotalAccesses(), 32u + 64u)
+  EXPECT_LE(degraded.ValueUnsafe().stats.TotalAccesses(),
+            TopKServer::kDegradedAccessBudget + 64u)
       << "budget enforced at round granularity only";
 
   gate.Open();
@@ -279,7 +281,6 @@ TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
     GateScorer gate;
     ServerOptions options;
     options.num_threads = 1;
-    options.watchdog_period_ms = 0.25;
     TopKServer server(&db_, options);
 
     ServerRequest request;
@@ -362,6 +363,47 @@ TEST_F(TopKServerTest, RequestOverdueAtDequeueFailsWithoutExecuting) {
   EXPECT_EQ(server.stats().expired_at_dequeue, 1u);
 }
 
+// Deadline conversion: a finite deadline past what the clock can represent
+// (about 9.2e12 ms of nanoseconds) never fires instead of overflowing the
+// conversion; a non-finite deadline is refused as Invalid, like
+// GovernorLimits::Validate refuses one.
+TEST_F(TopKServerTest, DeadlineBeyondTheClockNeverFiresAndNonFiniteIsInvalid) {
+  ServerOptions options;
+  options.num_threads = 1;
+  TopKServer server(&db_, options);
+
+  for (const double deadline_ms : {1e13, 1e300}) {
+    Result<TopKResult> got = server.Submit(ServerRequest{
+        AlgorithmKind::kBpa, TopKQuery{10, &sum_}, deadline_ms}).get();
+    ASSERT_TRUE(got.ok()) << deadline_ms << ": " << got.status().ToString();
+    EXPECT_EQ(got.ValueUnsafe().completion, Completion::kExact)
+        << deadline_ms;
+  }
+  EXPECT_EQ(server.stats().expired_at_dequeue, 0u);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double deadline_ms :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    Result<TopKResult> got = server.Submit(ServerRequest{
+        AlgorithmKind::kBpa, TopKQuery{10, &sum_}, deadline_ms}).get();
+    ASSERT_FALSE(got.ok()) << deadline_ms;
+    EXPECT_TRUE(got.status().IsInvalid()) << got.status().ToString();
+    EXPECT_NE(got.status().message().find("deadline_ms"), std::string::npos)
+        << got.status().ToString();
+  }
+  bool invalid = false;
+  EXPECT_FALSE(server.SubmitWithCallback(
+      ServerRequest{AlgorithmKind::kBpa, TopKQuery{10, &sum_}, kInf},
+      [&](Result<TopKResult> r) { invalid = r.status().IsInvalid(); }));
+  EXPECT_TRUE(invalid);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.expired_at_dequeue, 0u);
+}
+
 TEST_F(TopKServerTest, StopAnswersEverythingAdmitted) {
   std::vector<std::future<Result<TopKResult>>> futures;
   {
@@ -426,6 +468,174 @@ TEST_F(TopKServerTest, WarmedWorkerArenaIsByteStableAcrossRequests) {
     EXPECT_EQ(server.worker_context(0).pool().arena_bytes_reserved(),
               warmed_bytes)
         << "wave " << wave;
+  }
+}
+
+// Batches are server clients: submit every query, then wait on the futures.
+class TopKServerBatchTest : public ::testing::Test {
+ protected:
+  TopKServerBatchTest() : db_(MakeUniformDatabase(600, 4, 2718)) {}
+
+  std::vector<TopKQuery> MakeQueries(size_t count) {
+    std::vector<TopKQuery> queries;
+    for (size_t i = 0; i < count; ++i) {
+      queries.push_back(TopKQuery{1 + (i % 25), &sum_});
+    }
+    return queries;
+  }
+
+  static std::vector<Result<TopKResult>> RunBatch(
+      TopKServer& server, AlgorithmKind kind,
+      const std::vector<TopKQuery>& queries) {
+    std::vector<std::future<Result<TopKResult>>> futures;
+    for (const TopKQuery& query : queries) {
+      futures.push_back(server.Submit(ServerRequest{kind, query, 0.0}));
+    }
+    std::vector<Result<TopKResult>> results;
+    for (auto& future : futures) {
+      results.push_back(future.get());
+    }
+    return results;
+  }
+
+  /// Access total over the successful results.
+  static uint64_t TotalAccesses(const std::vector<Result<TopKResult>>& batch) {
+    uint64_t total = 0;
+    for (const Result<TopKResult>& r : batch) {
+      if (r.ok()) {
+        total += r.ValueUnsafe().stats.TotalAccesses();
+      }
+    }
+    return total;
+  }
+
+  static ServerOptions Workers(size_t num_threads) {
+    ServerOptions options;
+    options.num_threads = num_threads;
+    return options;
+  }
+
+  Database db_;
+  SumScorer sum_;
+};
+
+TEST_F(TopKServerBatchTest, InlineBatchMatchesDirectExecution) {
+  TopKServer server(&db_, Workers(1));
+  const auto queries = MakeQueries(8);
+  const auto results = RunBatch(server, AlgorithmKind::kBpa, queries);
+  ASSERT_EQ(results.size(), queries.size());
+  auto algorithm = MakeAlgorithm(AlgorithmKind::kBpa);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << i;
+    const TopKResult direct =
+        algorithm->Execute(db_, queries[i]).ValueOrDie();
+    ASSERT_EQ(results[i].ValueUnsafe().items.size(), direct.items.size());
+    for (size_t r = 0; r < direct.items.size(); ++r) {
+      EXPECT_EQ(results[i].ValueUnsafe().items[r].item, direct.items[r].item);
+    }
+    EXPECT_EQ(results[i].ValueUnsafe().stats, direct.stats);
+  }
+}
+
+TEST_F(TopKServerBatchTest, ParallelMatchesInline) {
+  TopKServer one(&db_, Workers(1));
+  TopKServer eight(&db_, Workers(8));
+  const auto queries = MakeQueries(40);
+  const auto inline_results = RunBatch(one, AlgorithmKind::kBpa2, queries);
+  const auto parallel_results =
+      RunBatch(eight, AlgorithmKind::kBpa2, queries);
+  ASSERT_EQ(inline_results.size(), parallel_results.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(inline_results[i].ok());
+    ASSERT_TRUE(parallel_results[i].ok());
+    const auto& a = inline_results[i].ValueUnsafe();
+    const auto& b = parallel_results[i].ValueUnsafe();
+    EXPECT_EQ(a.stats, b.stats) << "query " << i;
+    ASSERT_EQ(a.items.size(), b.items.size());
+    for (size_t r = 0; r < a.items.size(); ++r) {
+      EXPECT_EQ(a.items[r].item, b.items[r].item);
+      EXPECT_DOUBLE_EQ(a.items[r].score, b.items[r].score);
+    }
+  }
+}
+
+TEST_F(TopKServerBatchTest, PerQueryFailuresDoNotAbortTheBatch) {
+  TopKServer server(&db_, Workers(4));
+  std::vector<TopKQuery> queries = MakeQueries(3);
+  queries.push_back(TopKQuery{db_.num_items() + 1, &sum_});  // invalid k
+  queries.push_back(TopKQuery{5, nullptr});                  // missing scorer
+  const auto results = RunBatch(server, AlgorithmKind::kTa, queries);
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[1].ok());
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_TRUE(results[3].status().IsInvalid());
+  EXPECT_TRUE(results[4].status().IsInvalid());
+  EXPECT_EQ(server.stats().failed, 2u);
+}
+
+TEST_F(TopKServerBatchTest, MoreThreadsThanQueries) {
+  TopKServer server(&db_, Workers(64));
+  const auto results = RunBatch(server, AlgorithmKind::kNaive, MakeQueries(2));
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[1].ok());
+}
+
+TEST_F(TopKServerBatchTest, MixedScorersInOneBatch) {
+  MinScorer min;
+  MaxScorer max;
+  TopKServer server(&db_, Workers(3));
+  std::vector<TopKQuery> queries = {TopKQuery{5, &sum_}, TopKQuery{5, &min},
+                                    TopKQuery{5, &max}};
+  const auto results = RunBatch(server, AlgorithmKind::kBpa, queries);
+  auto naive = MakeAlgorithm(AlgorithmKind::kNaive);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(results[i].ok());
+    const TopKResult want = naive->Execute(db_, queries[i]).ValueOrDie();
+    for (size_t r = 0; r < 5; ++r) {
+      EXPECT_DOUBLE_EQ(results[i].ValueUnsafe().items[r].score,
+                       want.items[r].score);
+    }
+  }
+}
+
+// Regression for the batch stats race: two issuer threads sharing one engine
+// once raced on a shared last-batch aggregate. As server clients each
+// issuer collects its own futures, so both must observe exactly their own
+// batch's access total (that of a single-worker run) and every per-query
+// answer must succeed. Run under TSan to certify the absence of the data
+// race, not just its invisibility.
+TEST_F(TopKServerBatchTest, ConcurrentIssuersShareOneEngine) {
+  const auto queries_a = MakeQueries(24);
+  auto queries_b = MakeQueries(17);
+  queries_b.erase(queries_b.begin());  // different shapes on purpose
+  uint64_t want_a = 0;
+  uint64_t want_b = 0;
+  {
+    TopKServer single(&db_, Workers(1));
+    want_a = TotalAccesses(RunBatch(single, AlgorithmKind::kBpa, queries_a));
+    want_b = TotalAccesses(RunBatch(single, AlgorithmKind::kNra, queries_b));
+  }
+
+  TopKServer server(&db_, Workers(2));
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Result<TopKResult>> got_a;
+    std::vector<Result<TopKResult>> got_b;
+    std::thread issuer_a(
+        [&] { got_a = RunBatch(server, AlgorithmKind::kBpa, queries_a); });
+    std::thread issuer_b(
+        [&] { got_b = RunBatch(server, AlgorithmKind::kNra, queries_b); });
+    issuer_a.join();
+    issuer_b.join();
+    EXPECT_EQ(TotalAccesses(got_a), want_a) << "round " << round;
+    EXPECT_EQ(TotalAccesses(got_b), want_b) << "round " << round;
+    for (const auto& r : got_a) {
+      ASSERT_TRUE(r.ok());
+    }
+    for (const auto& r : got_b) {
+      ASSERT_TRUE(r.ok());
+    }
   }
 }
 
