@@ -1502,6 +1502,100 @@ TEST(DistFaultTransportTest, FlappingRevivesAfterExactRejectionWindow) {
   EXPECT_EQ(transport.fault_stats().owner_revivals, 2u);
 }
 
+// The transport schedule's own timeline, driven without a coordinator:
+// random-window deaths, flap redraws capped by a targeted kill, drops,
+// delays and duplicates, over 3,000 calls spread unevenly across 8 owners.
+// Each owner's line lists the calls at which it died (d) and revived (r).
+TEST(DistFaultTransportTest, ScheduleTimelineIsPinned) {
+  const Database db = MakeUniformDatabase(50, 4, 3);
+  InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
+  struct Pin {
+    uint64_t seed;
+    uint64_t dropped, delayed, duplicated;
+    uint32_t deaths, revivals;
+    std::vector<std::string> owners;
+  };
+  const Pin pins[] = {
+      {5, 278, 340, 267, 54, 54,
+       {
+           "",
+           " d215 r258 d475 r518 d640 r683 d900 r943 d1160 r1203 d1264 r1307"
+           " d1524 r1567 d1784 r1827 d2044 r2087 d2295 r2338 d2520 r2564"
+           " d2754 r2798 d2850 r2893",
+           "",
+           "",
+           " d194 r221 d481 r515 d645 r680 d732 r766 d949 r983 d1018 r1052"
+           " d1304 r1338 d1364 r1391 d1607 r1642 d1703 r1737 d1910 r1937"
+           " d2119 r2153 d2352 r2379 d2431 r2465 d2665 r2699 d2933 r2968",
+           " d98 r141 d254 r297 d427 r471 d705 r748 d1043 r1086 d1216 r1259"
+           " d1433 r1476 d1823 r1866 d2143 r2187 d2464 r2507 d2611 r2655",
+           " d28 r71 d288 r331 d400 r444 d660 r704 d903 r946 d1102 r1146"
+           " d1189 r1232 d1449 r1492 d1631 r1674 d1778 r1822 d1978 r2021"
+           " d2220 r2264 d2480 r2524 d2740 r2784",
+           "",
+       }},
+      {17, 287, 369, 237, 87, 83,
+       {
+           "",
+           " d215 r258 d336 r380 d596 r640 d752 r796 d1012 r1056 d1272 r1316"
+           " d1428 r1472 d1541 r1584 d1801 r1844 d1914 r1957 d2174 r2217"
+           " d2434 r2477 d2538 r2581 d2798 r2841",
+           " d327 r370 d413 r457 d665 r708 d777 r821 d1098 r1141 d1445 r1488"
+           " d1592 r1635 d1913 r1956 d2259 r2303 d2372 r2415 d2693 r2736"
+           " d2771 r2814 d2901 r2944",
+           " d256 r300 d629 r672 d950 r993 d1062 r1106 d1270 r1314 d1660"
+           " r1704 d1877 r1920 d2163 r2206 d2466 r2510 d2752 r2796 d2978",
+           " d134 r168 d195 r229 d351 r385 d472 r506 d637 r671 d810 r844"
+           " d1070 r1104 d1330 r1364 d1382 r1416 d1676 r1703 d1945 r1980"
+           " d2162 r2196 d2240 r2274 d2352 r2379 d2430 r2457 d2482 r2509"
+           " d2699 r2734 d2933 r2968 d2994",
+           " d271 r315 d566 r609 d939 r982 d1121 r1164 d1502 r1545 d1597"
+           " r1641 d1953 r1996 d2109 r2152 d2325 r2369 d2689 r2733 d2984",
+           " d71 r114 d210 r253 d470 r513 d712 r756 d860 r903 d929 r972"
+           " d1076 r1120 d1284 r1328 d1414 r1458 d1544 r1588 d1648 r1692"
+           " d1735 r1778 d1900 r1943 d2004 r2047 d2229 r2272 d2489 r2532"
+           " d2680 r2723 d2784 r2827 d2992",
+           "",
+       }},
+  };
+  Request request;
+  request.type = MessageType::kHello;
+  Reply reply;
+  CallResult call;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    TransportFaultPlan plan;
+    plan.seed = pin.seed;
+    plan.drop_rate = 0.1;
+    plan.delay_rate = 0.15;
+    plan.delay_ms = 3.0;
+    plan.duplicate_rate = 0.1;
+    plan.owner_death_rate = 0.5;
+    plan.death_min_messages = 3;
+    plan.death_max_messages = 40;
+    plan.kill_owners = {1, 6};
+    plan.kill_after_messages = 25;
+    plan.flap_revive_calls = 5;
+    FaultInjectingTransport transport(&inner, plan);
+    std::vector<std::string> owners(inner.num_owners());
+    for (size_t t = 0; t < 3000; ++t) {
+      const size_t owner = (7 * t + t / 13) % owners.size();
+      const bool was_alive = transport.OwnerAlive(owner);
+      (void)transport.Call(owner, request, &reply, &call);
+      if (transport.OwnerAlive(owner) != was_alive) {
+        owners[owner] += (was_alive ? " d" : " r") + std::to_string(t);
+      }
+    }
+    EXPECT_EQ(owners, pin.owners);
+    const TransportFaultStats& stats = transport.fault_stats();
+    EXPECT_EQ(stats.dropped_messages, pin.dropped);
+    EXPECT_EQ(stats.delayed_messages, pin.delayed);
+    EXPECT_EQ(stats.duplicated_replies, pin.duplicated);
+    EXPECT_EQ(stats.dead_owners, pin.deaths);
+    EXPECT_EQ(stats.owner_revivals, pin.revivals);
+  }
+}
+
 // ---- DistOptions validation ----
 
 TEST(DistOptionsTest, ValidateRejectsBadKnobs) {

@@ -542,6 +542,44 @@ TEST(FaultInjectionTest, FaultedOutcomesArePinned) {
   }
 }
 
+// The local schedule's own timeline, rolled without an algorithm: 400
+// round-robin rolls of every live list. It pins what the outcome pins above
+// cannot: the spike draws, which move only virtual latency, and each list's
+// death point under a random death window capped by a targeted kill.
+TEST(FaultInjectionTest, ScheduleTimelineIsPinned) {
+  constexpr size_t kLists = 6;
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.transient_rate = 0.4;
+  plan.max_retries = 3;
+  plan.spike_rate = 0.2;
+  plan.spike_ms = 1.5;
+  plan.death_rate = 0.6;
+  plan.death_min_accesses = 5;
+  plan.death_max_accesses = 300;
+  plan.kill_list = 4;
+  plan.kill_after_accesses = 77;
+  FaultInjectingAccessEngine faults;
+  faults.Arm(kLists, plan);
+  std::vector<uint64_t> served(kLists, 0);
+  std::vector<uint64_t> died_after(kLists, 0);  // 0: still alive
+  for (int round = 0; round < 400; ++round) {
+    for (size_t list = 0; list < kLists; ++list) {
+      if (!faults.ListAlive(list)) continue;
+      faults.Roll(list);
+      ++served[list];
+      if (!faults.ListAlive(list)) died_after[list] = served[list];
+    }
+  }
+  EXPECT_EQ(died_after, (std::vector<uint64_t>{128, 0, 85, 0, 77, 114}));
+  const FaultStats& stats = faults.fault_stats();
+  EXPECT_EQ(stats.transient_faults, 733u);
+  EXPECT_EQ(stats.exhausted_retries, 83u);
+  EXPECT_EQ(stats.latency_spikes, 236u);
+  EXPECT_DOUBLE_EQ(stats.virtual_latency_ms, 354.0);
+  EXPECT_EQ(stats.dead_lists, 4u);
+}
+
 // A list killed at its first access, on a two-list workload where the kill
 // lands before the list's first sorted read: BPA's and BPA2's λ meet a best
 // position of 0 and TA's δ a cursor that never moved. Both must read the
