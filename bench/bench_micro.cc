@@ -1316,7 +1316,7 @@ int RunDistMode(const ThroughputConfig& config) {
   for (const bool bpa : {true, false}) {
     for (const size_t replication : replications) {
       TransportFaultPlan plan;
-      plan.kill_owner = InProcessTransport::OwnerIndex(kM, 0, 0);
+      plan.kill_owners = {InProcessTransport::OwnerIndex(kM, 0, 0)};
       plan.kill_after_messages = 6;
       TopKResult result;
       DistStats stats;

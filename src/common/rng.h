@@ -33,9 +33,9 @@ class SplitMix64 {
 };
 
 /// The splitmix64 finalizer as a pure hash: Mix64(x) == SplitMix64(x).Next().
-/// The fault schedules and the coordinator's backoff and breaker jitter hash
-/// their seeded (seed, ..., counter) tuples with it, so every seeded run
-/// replays exactly.
+/// FaultDraw (lists/fault_injection.h), behind both fault injectors, and the
+/// coordinator's backoff and breaker jitter hash their seeded tuples with it,
+/// so every seeded run replays exactly.
 inline uint64_t Mix64(uint64_t x) { return SplitMix64(x).Next(); }
 
 /// xoshiro256++ by Blackman & Vigna: fast, high-quality, 2^256-1 period.

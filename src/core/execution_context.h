@@ -114,10 +114,10 @@ class ExecutionContext {
   /// the context may RequestCancel() on it from another thread.
   QueryGovernor& governor() { return governor_; }
 
-  /// The fault schedule the FaultIo policy rolls. Armed by ExecuteInto when
-  /// AlgorithmOptions::fault_plan is enabled; stays armed across an
-  /// in-flight NRA failover so dead lists stay dead and the deterministic
-  /// schedule continues.
+  /// The fault injector the FaultIo policy rolls; its lists die through the
+  /// shared FaultSchedule. Armed by ExecuteInto when
+  /// AlgorithmOptions::fault_plan is enabled; stays armed across an in-flight
+  /// NRA failover so dead lists stay dead and the schedule continues.
   FaultInjectingAccessEngine& faults() { return faults_; }
 
   // --- per-list score scratch, sized m and zero-filled by Prepare ---

@@ -15,7 +15,7 @@
 //        reads through it.
 //      - AuditIo (RawListIo<true>) also records each read's touch in the
 //        engine's audit trail (audit mode).
-//      - FaultIo is RawListIo<> that rolls the context's fault schedule
+//      - FaultIo is RawListIo<> that rolls the context's fault injector
 //        (lists/fault_injection.h) before each read. Its lists can die: it
 //        reports kFaultAware = true, so the loops' aliveness guards compile
 //        in. On the other two flavours those guards are
@@ -212,12 +212,12 @@ class RawListIo : public LocalIo {
 /// Audit mode's policy: the local read path plus the audit trail.
 using AuditIo = RawListIo<true>;
 
-/// Fault-aware policy: the local read path, with the fault schedule rolled
-/// before every read. A fault-aware loop reads each live list at the row
-/// after the last one it read, so the explicit positions read here are the
-/// ones a sorted cursor would serve. The loops must check
-/// SortedAlive/RandomAlive before every access — see the death contract in
-/// lists/fault_injection.h.
+/// Fault-aware policy: the local read path, rolling the fault injector (whose
+/// list deaths come from the shared FaultSchedule) before every read. A
+/// fault-aware loop reads each live list at the row after the last one it
+/// read, so the explicit positions read here are the ones a sorted cursor
+/// would serve. The loops must check SortedAlive/RandomAlive before every
+/// access — see the death contract in lists/fault_injection.h.
 class FaultIo : public RawListIo<> {
  public:
   static constexpr bool kFaultAware = true;

@@ -243,9 +243,9 @@ void Coordinator::BeginQuery(size_t k, bool bpa) {
   reads_->Reset(m, n_, bpa);
   context_.Prepare(m, k);
   context_.governor().Arm(options_.governor);
-  // Owners start every query alive: a query's death discoveries are its own
-  // (the transport's schedule decides what actually answers), mirroring the
-  // per-query Arm() of the local fault schedule.
+  // Owners start every query alive: a query's death discoveries are its own.
+  // What actually answers is the transport's FaultSchedule, which is armed
+  // once per transport, not once per query as the local one is.
   owner_alive_.assign(owners, 1);
   latency_ring_.assign(owners * kLatencyRing, 0.0);
   latency_count_.assign(owners, 0);

@@ -2,28 +2,22 @@
 //
 // FaultInjectingTransport: a seeded, deterministic fault decorator over any
 // Transport — the message-layer sibling of the local fault schedule,
-// FaultInjectingAccessEngine. It
-// drops messages, delays deliveries, duplicates replies, and kills owners
-// permanently, all as pure hashes of (seed, owner, per-owner message counter)
-// using the same splitmix64 discipline, so a fault schedule replays
-// message-for-message from its seed.
+// FaultInjectingAccessEngine. It drops messages, delays deliveries and
+// duplicates replies, all as pure hashes of (seed, owner, per-owner message
+// counter) through FaultDraw, and kills owners through the FaultSchedule
+// both injectors share (lists/fault_injection.h), so a fault schedule
+// replays message-for-message from its seed.
 //
-// Death contract (mirrors the local fault schedule's): an owner serves every
-// message up to its precomputed death point and then flips to dead; every
-// later Call() fails Unavailable with zero reported latency — a dead owner
-// looks exactly like a black hole, so the caller charges its own RPC deadline
-// for the wait, and only its retry budget can conclude death.
+// Death contract (the shared schedule's): an owner serves every message up
+// to its death point and then flips to dead; every later Call() fails
+// Unavailable with zero reported latency — a dead owner looks exactly like
+// a black hole, so the caller charges its own RPC deadline for the wait,
+// and only its retry budget can conclude death.
 //
-// Death-window counter semantics: a death point is a count on ITS OWNER'S
-// OWN message axis, not the transport-wide one. Every owner keeps a private
-// served-message counter, the death point drawn from
-// [death_min_messages, death_max_messages] (or pinned by a targeted kill) is
-// compared against that private counter only, and calls to other owners
-// never advance it. Two owners given the same window therefore die after
-// serving their own Nth message each, regardless of how calls interleave
-// across owners — replica-targeted plans can kill exactly one replica of a
-// group without the sibling's traffic dragging the window forward.
-// (Pinned by DistFaultTransportTest.DeathWindowsCountPerOwnerMessages.)
+// Death windows count each owner's OWN served messages (the schedule's
+// per-unit counters), so calls to a sibling never drag another owner's
+// window forward, and a replica-targeted plan kills exactly one replica of
+// a group. (Pinned by DistFaultTransportTest.DeathWindowsCountPerOwnerMessages.)
 
 #ifndef TOPK_DIST_FAULT_INJECTING_TRANSPORT_H_
 #define TOPK_DIST_FAULT_INJECTING_TRANSPORT_H_
@@ -34,6 +28,7 @@
 
 #include "common/status.h"
 #include "dist/transport.h"
+#include "lists/fault_injection.h"
 
 namespace topk {
 
@@ -41,8 +36,6 @@ namespace topk {
 /// per-owner for owner_death_rate) probabilities in [0, 1]; a
 /// default-constructed plan injects nothing.
 struct TransportFaultPlan {
-  static constexpr size_t kNoOwner = static_cast<size_t>(-1);
-
   /// Seed of the schedule; same seed + same plan => same faults, always.
   uint64_t seed = 1;
 
@@ -66,32 +59,24 @@ struct TransportFaultPlan {
   uint64_t death_min_messages = 1;
   uint64_t death_max_messages = 256;
 
-  /// Deterministic targeted kill: owner `kill_owner` dies permanently after
-  /// serving exactly `kill_after_messages` messages (>= 1). kNoOwner disables.
-  size_t kill_owner = kNoOwner;
-  uint64_t kill_after_messages = 1;
-
-  /// Additional deterministic targeted kills, each after its own
-  /// `kill_after_messages` served messages (per-owner counters — see the
-  /// death-window note above). Listing every replica owner of one list is
-  /// the correlated whole-group-death scenario the coordinator's degrade
+  /// Deterministic targeted kills: every owner in `kill_owners` dies after
+  /// serving at most `kill_after_messages` messages (>= 1) of its own (see
+  /// the death-window note above). Listing every replica owner of one list
+  /// is the correlated whole-group-death scenario the coordinator's degrade
   /// path certifies against.
   std::vector<size_t> kill_owners;
+  uint64_t kill_after_messages = 1;
 
   /// Flapping: when > 0, deaths are temporary — a down owner rejects
-  /// exactly `flap_revive_calls` calls, then recovers and serves again; its
-  /// next death point is redrawn from the death window past the revival
-  /// (per-owner revival counters keep the redraws deterministic under any
-  /// call interleaving). Requires a death source (owner_death_rate > 0 or a
-  /// targeted kill) — a flap plan without deaths never flaps and is
-  /// rejected by Validate().
+  /// exactly `flap_revive_calls` calls, then revives with its next death
+  /// point redrawn past the revival. Validate() requires a death source
+  /// (owner_death_rate > 0 or a targeted kill): without one nothing flaps.
   uint64_t flap_revive_calls = 0;
 
   /// True when the plan injects anything at all.
   bool enabled() const {
     return drop_rate > 0.0 || delay_rate > 0.0 || duplicate_rate > 0.0 ||
-           owner_death_rate > 0.0 || kill_owner != kNoOwner ||
-           !kill_owners.empty();
+           owner_death_rate > 0.0 || !kill_owners.empty();
   }
 
   /// Validates the plan for `algorithm` against a transport with
@@ -99,7 +84,7 @@ struct TransportFaultPlan {
   Status Validate(const char* algorithm, size_t num_owners) const;
 };
 
-/// Counters of what the schedule actually injected since Arm().
+/// Counters of what the schedule actually injected since construction.
 struct TransportFaultStats {
   uint64_t dropped_messages = 0;
   uint64_t delayed_messages = 0;
@@ -111,36 +96,30 @@ struct TransportFaultStats {
 class FaultInjectingTransport : public Transport {
  public:
   /// Decorates `inner` (not owned; must outlive this transport) and arms the
-  /// schedule: per-owner counters reset, death points drawn from the plan.
+  /// schedule once: per-owner counters reset, death points drawn from the
+  /// plan. Build a new transport for a fresh schedule.
   FaultInjectingTransport(Transport* inner, const TransportFaultPlan& plan);
-
-  /// Re-arms the same plan from scratch (fresh counters and death points) —
-  /// one armed period per query keeps schedules independent across queries.
-  void Arm();
 
   size_t num_owners() const override { return inner_->num_owners(); }
 
   /// True while `owner` has not yet died.
-  bool OwnerAlive(size_t owner) const { return alive_[owner] != 0; }
+  bool OwnerAlive(size_t owner) const { return schedule_.Alive(owner); }
 
-  const TransportFaultStats& fault_stats() const { return stats_; }
+  TransportFaultStats fault_stats() const {
+    TransportFaultStats stats = stats_;
+    stats.dead_owners = schedule_.deaths();
+    stats.owner_revivals = schedule_.revivals();
+    return stats;
+  }
 
   Status Call(size_t owner, const Request& request, Reply* reply,
               CallResult* result) override;
 
  private:
-  /// The owner's targeted kill point (the tightest of kill_owner /
-  /// kill_owners naming it), or ~0 when untargeted.
-  uint64_t TargetedKillAt(size_t owner) const;
-
   Transport* inner_;
   TransportFaultPlan plan_;
   TransportFaultStats stats_;
-  std::vector<uint64_t> served_;    // messages served, per owner (see header)
-  std::vector<uint64_t> death_at_;  // owner dies after serving this many
-  std::vector<uint8_t> alive_;
-  std::vector<uint64_t> down_left_;  // flapping: rejected calls until revival
-  std::vector<uint64_t> revivals_;   // flapping: per-owner revival count
+  FaultSchedule schedule_;
 };
 
 }  // namespace topk

@@ -7,9 +7,9 @@
 // both cases reports how long the exchange would have taken in `latency_ms`.
 // The coordinator charges that virtual time against the QueryGovernor's
 // deadline, so fault/latency behaviour is fully deterministic and replayable
-// from a seed — the same discipline as FaultInjectingAccessEngine, one layer
-// up. An eventual socket transport implements the same interface with real
-// wall-clock latencies.
+// from a seed — FaultInjectingTransport kills owners through the same
+// FaultSchedule that kills lists locally. An eventual socket transport
+// implements the same interface with real wall-clock latencies.
 
 #ifndef TOPK_DIST_TRANSPORT_H_
 #define TOPK_DIST_TRANSPORT_H_

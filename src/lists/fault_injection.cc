@@ -2,9 +2,11 @@
 
 #include "lists/fault_injection.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 
-#include "common/rng.h"
+#include "common/macros.h"
 
 namespace topk {
 namespace {
@@ -15,50 +17,98 @@ constexpr uint64_t kTransientSalt = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kSpikeSalt = 0xbf58476d1ce4e5b9ull;
 constexpr uint64_t kDeathSalt = 0x94d049bb133111ebull;
 
-// Uniform draw in [0, 1) from a tuple hashed with the splitmix64 finalizer
-// (Mix64): all fault decisions are pure functions of its output.
+// The local draws hash a fourth term, the retry attempt.
 double Draw(uint64_t seed, uint64_t list, uint64_t counter, uint64_t attempt,
             uint64_t salt) {
-  const uint64_t h = Mix64(seed ^ Mix64(list + salt) ^
-                           Mix64(counter * 0x2545f4914f6cdd1dull) ^
-                           Mix64(attempt + 0xd6e8feb86659fd93ull));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return FaultDraw(seed, list, counter, salt,
+                   Mix64(attempt + 0xd6e8feb86659fd93ull));
+}
+
+// A list's death draws take their counter as the attempt.
+double DeathDraw(uint64_t seed, uint64_t list, uint64_t counter) {
+  return Draw(seed, list, counter, counter, kDeathSalt);
 }
 
 }  // namespace
 
+Status CheckFaultRate(const char* algorithm, const char* plan,
+                      const char* knob, double rate) {
+  if (rate >= 0.0 && rate <= 1.0) return Status::OK();
+  return Status::Invalid(algorithm, ": ", plan, " ", knob,
+                         " must be in [0, 1]; got ", knob, " = ", rate);
+}
+
+Status CheckFaultLatency(const char* algorithm, const char* plan,
+                         const char* knob, double ms) {
+  if (std::isfinite(ms) && ms >= 0.0) return Status::OK();
+  return Status::Invalid(algorithm, ": ", plan, " ", knob,
+                         " must be >= 0 and finite; got ", knob, " = ", ms);
+}
+
+Status CheckDeathWindow(const char* algorithm, const char* plan,
+                        const char* served, uint64_t min, uint64_t max) {
+  if (min >= 1 && max >= min) return Status::OK();
+  return Status::Invalid(algorithm, ": ", plan,
+                         " death window must satisfy 1 <= death_min_", served,
+                         " <= death_max_", served, "; got [", min, ", ", max,
+                         "]");
+}
+
+void FaultSchedule::Arm(size_t units, const Deaths& deaths, DeathDraw draw) {
+  knobs_ = deaths;
+  draw_ = draw;
+  deaths_seen_ = 0;
+  revivals_ = 0;
+  units_.assign(units, Unit{});
+  for (size_t i = 0; i < units; ++i) {
+    // The death point itself comes from an independent draw so the rate
+    // and the position are not correlated.
+    if (knobs_.rate > 0.0 && draw_(knobs_.seed, i, 0) < knobs_.rate) {
+      units_[i].death_at = DeathPoint(i, 1);
+    }
+  }
+}
+
+void FaultSchedule::Kill(size_t unit) {
+  if (unit < units_.size()) {
+    units_[unit].killed = true;
+    units_[unit].death_at = std::min(units_[unit].death_at, knobs_.kill_after);
+  }
+}
+
+uint64_t FaultSchedule::DeathPoint(size_t unit, uint64_t counter) const {
+  const double u = draw_(knobs_.seed, unit, counter);
+  const uint64_t span = knobs_.max_served - knobs_.min_served + 1;
+  const uint64_t at =
+      knobs_.min_served + static_cast<uint64_t>(u * static_cast<double>(span));
+  return units_[unit].killed ? std::min(at, knobs_.kill_after) : at;
+}
+
+void FaultSchedule::Reject(size_t unit) {
+  Unit& u = units_[unit];
+  if (u.down_left == 0 || --u.down_left > 0) return;
+  // The down window is over: this rejection still fails, and the next death
+  // point is redrawn past the revival. The redraw hashes the unit's own
+  // revival count, so it is independent of how calls to other units
+  // interleave.
+  u.alive = true;
+  ++revivals_;
+  u.death_at = u.served + DeathPoint(unit, 2 * ++u.revivals);
+}
+
 Status FaultPlan::Validate(const char* algorithm, size_t num_lists) const {
-  const auto rate_ok = [](double rate) { return rate >= 0.0 && rate <= 1.0; };
-  if (!rate_ok(transient_rate)) {
-    return Status::Invalid(algorithm,
-                           ": fault plan transient_rate must be in [0, 1]; ",
-                           "got transient_rate = ", transient_rate);
-  }
-  if (!rate_ok(spike_rate)) {
-    return Status::Invalid(algorithm,
-                           ": fault plan spike_rate must be in [0, 1]; ",
-                           "got spike_rate = ", spike_rate);
-  }
-  if (!rate_ok(death_rate)) {
-    return Status::Invalid(algorithm,
-                           ": fault plan death_rate must be in [0, 1]; ",
-                           "got death_rate = ", death_rate);
-  }
+  constexpr const char* kPlan = "fault plan";
+  TOPK_RETURN_NOT_OK(
+      CheckFaultRate(algorithm, kPlan, "transient_rate", transient_rate));
+  TOPK_RETURN_NOT_OK(CheckFaultRate(algorithm, kPlan, "spike_rate", spike_rate));
+  TOPK_RETURN_NOT_OK(CheckFaultRate(algorithm, kPlan, "death_rate", death_rate));
   if (max_retries < 1) {
     return Status::Invalid(algorithm, ": fault plan max_retries must be >= 1; ",
                            "got max_retries = ", max_retries);
   }
-  if (spike_ms < 0.0) {
-    return Status::Invalid(algorithm, ": fault plan spike_ms must be >= 0; ",
-                           "got spike_ms = ", spike_ms);
-  }
-  if (death_min_accesses < 1 || death_max_accesses < death_min_accesses) {
-    return Status::Invalid(
-        algorithm,
-        ": fault plan death window must satisfy 1 <= death_min_accesses <= "
-        "death_max_accesses; got [",
-        death_min_accesses, ", ", death_max_accesses, "]");
-  }
+  TOPK_RETURN_NOT_OK(CheckFaultLatency(algorithm, kPlan, "spike_ms", spike_ms));
+  TOPK_RETURN_NOT_OK(CheckDeathWindow(algorithm, kPlan, "accesses",
+                                      death_min_accesses, death_max_accesses));
   if (kill_list != kNoList) {
     if (kill_list >= num_lists) {
       return Status::Invalid(algorithm, ": fault plan kill_list = ", kill_list,
@@ -79,29 +129,16 @@ void FaultInjectingAccessEngine::Arm(size_t m, const FaultPlan& plan) {
   plan_ = plan;
   stats_ = FaultStats{};
   armed_ = true;
-  touches_.assign(m, 0);
-  death_at_.assign(m, ~0ull);
-  alive_.assign(m, 1);
-  for (size_t i = 0; i < m; ++i) {
-    if (plan_.death_rate > 0.0 &&
-        Draw(plan_.seed, i, 0, 0, kDeathSalt) < plan_.death_rate) {
-      // The death point itself comes from an independent draw so the rate
-      // and the position are not correlated.
-      const double u = Draw(plan_.seed, i, 1, 1, kDeathSalt);
-      const uint64_t span = plan_.death_max_accesses -
-                            plan_.death_min_accesses + 1;
-      death_at_[i] = plan_.death_min_accesses +
-                     static_cast<uint64_t>(u * static_cast<double>(span));
-    }
-    if (plan_.kill_list == i && plan_.kill_after_accesses < death_at_[i]) {
-      death_at_[i] = plan_.kill_after_accesses;
-    }
-  }
+  schedule_.Arm(m,
+                {plan.seed, plan.death_rate, plan.death_min_accesses,
+                 plan.death_max_accesses, plan.kill_after_accesses, 0},
+                &DeathDraw);
+  schedule_.Kill(plan.kill_list);  // kNoList names no list
 }
 
 void FaultInjectingAccessEngine::Roll(size_t list_index) {
-  assert(armed_ && alive_[list_index]);
-  const uint64_t t = ++touches_[list_index];
+  assert(armed_ && schedule_.Alive(list_index));
+  const uint64_t t = schedule_.Serve(list_index);
   if (plan_.transient_rate > 0.0) {
     int attempt = 0;
     while (attempt < plan_.max_retries &&
@@ -118,12 +155,6 @@ void FaultInjectingAccessEngine::Roll(size_t list_index) {
       Draw(plan_.seed, list_index, t, 0, kSpikeSalt) < plan_.spike_rate) {
     ++stats_.latency_spikes;
     stats_.virtual_latency_ms += plan_.spike_ms;
-  }
-  // The access that reaches the death point is still served; the list is
-  // dead from the next ListAlive() check on.
-  if (t >= death_at_[list_index]) {
-    alive_[list_index] = 0;
-    ++stats_.dead_lists;
   }
 }
 

@@ -1,19 +1,21 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// FaultInjectingAccessEngine: the seeded, deterministic fault schedule of a
-// local run — transient errors (absorbed by bounded retry), latency spikes
+// The seeded, deterministic fault schedules. FaultSchedule is the death
+// schedule both injectors share: a unit is a list for
+// FaultInjectingAccessEngine (below) and an owner for
+// FaultInjectingTransport (dist/fault_injecting_transport.h), and each adds
+// its own per-access draws. FaultInjectingAccessEngine is a local run's
+// schedule — transient errors (absorbed by bounded retry), latency spikes
 // (charged as virtual milliseconds against the governor's deadline), and
-// permanent per-list death. It is a schedule, not a decorator: it reads no
-// list. The FaultIo access policy (core/list_io.h) rolls it before each read
-// it serves.
+// permanent per-list death. It reads no list: the FaultIo access policy
+// (core/list_io.h) rolls it before each read it serves.
 //
 // Determinism is the whole point: every fault decision is a pure hash of
-// (seed, list, per-list access counter[, retry attempt]), so the same plan
-// replays the same schedule access-for-access, across reruns and across
-// warmed contexts. Nothing here reads a clock or an RNG stream shared with
-// anything else.
+// (seed, unit, per-unit counter[, retry attempt]) through FaultDraw, so the
+// same plan replays the same schedule access-for-access, across reruns and
+// across warmed contexts. Nothing here reads a clock or a shared RNG stream.
 //
-// Death contract: a list serves every access up to its precomputed death
+// Death contract: a unit serves every access up to its precomputed death
 // point and then flips to dead — callers must check ListAlive() *before*
 // accessing (the algorithm loops do this through the FaultIo policy), so a
 // fault never surfaces as an exception or a torn read. Transient faults are
@@ -29,9 +31,95 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 
 namespace topk {
+
+/// Uniform draw in [0, 1) from (seed, unit, counter) under `salt`, through
+/// Mix64; `mixed` is an optional pre-mixed fourth term (0 adds nothing).
+inline double FaultDraw(uint64_t seed, uint64_t unit, uint64_t counter,
+                        uint64_t salt, uint64_t mixed = 0) {
+  const uint64_t h = Mix64(seed ^ Mix64(unit + salt) ^
+                           Mix64(counter * 0x2545f4914f6cdd1dull) ^ mixed);
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Plan checks both schedules share; messages name the algorithm, the plan,
+/// the knob and the value. `served` is "accesses" or "messages".
+Status CheckFaultRate(const char* algorithm, const char* plan,
+                      const char* knob, double rate);
+Status CheckFaultLatency(const char* algorithm, const char* plan,
+                         const char* knob, double ms);
+Status CheckDeathWindow(const char* algorithm, const char* plan,
+                        const char* served, uint64_t min, uint64_t max);
+
+/// The per-unit death schedule. A unit dies after serving its death point:
+/// with probability `rate` a point drawn from [min_served, max_served], and
+/// at most `kill_after` for a unit named by Kill(). With flap_revive_calls
+/// > 0 a dead unit rejects exactly that many calls, then revives with its
+/// next death point redrawn past the revival. A unit counts its own served
+/// accesses only. Storage is retained across Arm()s.
+class FaultSchedule {
+ public:
+  /// Each injector's salted death hash: the rate draws at counter 0, the
+  /// first point at 1, and the point after the r-th revival at 2r.
+  using DeathDraw = double (*)(uint64_t seed, uint64_t unit, uint64_t counter);
+
+  /// The death knobs of a plan, copied at Arm().
+  struct Deaths {
+    uint64_t seed;
+    double rate;
+    uint64_t min_served, max_served, kill_after, flap_revive_calls;
+  };
+
+  /// Resets every unit's counters and draws its first death point.
+  void Arm(size_t units, const Deaths& deaths, DeathDraw draw);
+
+  /// Targeted kill: caps `unit`'s death points, first and redrawn, at
+  /// kill_after. A unit past the last one names none and kills nothing.
+  void Kill(size_t unit);
+
+  bool Alive(size_t unit) const { return units_[unit].alive; }
+
+  /// Counts one access served by a live unit and returns its count; the
+  /// access that reaches the death point is served, then the unit is dead.
+  uint64_t Serve(size_t unit) {
+    Unit& u = units_[unit];
+    if (++u.served >= u.death_at) {
+      u.alive = false;
+      u.down_left = knobs_.flap_revive_calls;
+      ++deaths_seen_;
+    }
+    return u.served;
+  }
+
+  /// Counts one call rejected by a dead unit. A flapping unit's last
+  /// rejection revives it (the next call sees it alive).
+  void Reject(size_t unit);
+
+  uint32_t deaths() const { return deaths_seen_; }  ///< death events
+  uint32_t revivals() const { return revivals_; }
+
+ private:
+  struct Unit {
+    uint64_t served = 0;
+    uint64_t death_at = ~0ull;  // dies after serving this many
+    uint64_t down_left = 0;     // flapping: rejected calls until revival
+    uint64_t revivals = 0;
+    bool alive = true;
+    bool killed = false;
+  };
+
+  /// min_served plus a draw over the window at `counter`, capped by a kill.
+  uint64_t DeathPoint(size_t unit, uint64_t counter) const;
+
+  Deaths knobs_{};
+  DeathDraw draw_ = nullptr;
+  std::vector<Unit> units_;
+  uint32_t deaths_seen_ = 0;
+  uint32_t revivals_ = 0;
+};
 
 /// A seeded, deterministic fault schedule. Rates are per-access (or per-list
 /// for death_rate) probabilities in [0, 1]; a default-constructed plan
@@ -85,13 +173,11 @@ struct FaultStats {
   uint32_t dead_lists = 0;          ///< lists currently permanently dead
 };
 
-/// The schedule. One instance lives in every ExecutionContext; Arm()
+/// The local injector. One instance lives in every ExecutionContext; Arm()
 /// precomputes each list's death point, and all storage is retained across
 /// queries (zero allocations once warmed).
 class FaultInjectingAccessEngine {
  public:
-  FaultInjectingAccessEngine() = default;
-
   /// Arms the schedule for one query over `m` lists. Resets per-list
   /// counters and draws each list's death point from the plan. Call Disarm()
   /// instead when no faults are wanted.
@@ -106,7 +192,7 @@ class FaultInjectingAccessEngine {
   /// True while `list_index` has not yet died. Callers must check before
   /// every access on a fault-aware path.
   bool ListAlive(size_t list_index) const {
-    return !armed_ || alive_[list_index] != 0;
+    return !armed_ || schedule_.Alive(list_index);
   }
 
   /// Rolls the schedule for one access to `list_index` (precondition:
@@ -114,17 +200,19 @@ class FaultInjectingAccessEngine {
   /// schedules the list's death *after* this access.
   void Roll(size_t list_index);
 
-  uint32_t dead_lists() const { return stats_.dead_lists; }
+  uint32_t dead_lists() const { return schedule_.deaths(); }
   double virtual_latency_ms() const { return stats_.virtual_latency_ms; }
-  const FaultStats& fault_stats() const { return stats_; }
+  FaultStats fault_stats() const {
+    FaultStats stats = stats_;
+    stats.dead_lists = schedule_.deaths();
+    return stats;
+  }
 
  private:
   FaultPlan plan_;
   FaultStats stats_;
   bool armed_ = false;
-  std::vector<uint64_t> touches_;   // accesses served per list
-  std::vector<uint64_t> death_at_;  // list dies after serving this many
-  std::vector<uint8_t> alive_;
+  FaultSchedule schedule_;
 };
 
 }  // namespace topk

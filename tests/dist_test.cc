@@ -140,7 +140,7 @@ TEST(ListOwnerTest, RejectsForeignListAndBadPositions) {
 
 // ---- FaultInjectingTransport ----
 
-TEST(FaultTransportTest, SameSeedSameSchedule) {
+TEST(DistFaultTransportTest, SameSeedSameSchedule) {
   const Database db = MakeUniformDatabase(100, 3, 17);
   InProcessTransport inner = InProcessTransport::PerListOwners(db);
   TransportFaultPlan plan;
@@ -169,11 +169,11 @@ TEST(FaultTransportTest, SameSeedSameSchedule) {
   EXPECT_EQ(first, second);
 }
 
-TEST(FaultTransportTest, TargetedKillStopsOwnerAfterBudget) {
+TEST(DistFaultTransportTest, TargetedKillStopsOwnerAfterBudget) {
   const Database db = MakeUniformDatabase(100, 2, 17);
   InProcessTransport inner = InProcessTransport::PerListOwners(db);
   TransportFaultPlan plan;
-  plan.kill_owner = 1;
+  plan.kill_owners = {1};
   plan.kill_after_messages = 3;
   FaultInjectingTransport transport(&inner, plan);
   Request request;
@@ -191,12 +191,12 @@ TEST(FaultTransportTest, TargetedKillStopsOwnerAfterBudget) {
   EXPECT_EQ(transport.fault_stats().dead_owners, 1u);
 }
 
-TEST(FaultTransportTest, ValidateRejectsBadPlans) {
+TEST(DistFaultTransportTest, ValidateRejectsBadPlans) {
   TransportFaultPlan plan;
   plan.drop_rate = 1.5;
   EXPECT_TRUE(plan.Validate("DistBPA", 3).IsInvalid());
   plan = TransportFaultPlan{};
-  plan.kill_owner = 3;
+  plan.kill_owners = {3};
   EXPECT_TRUE(plan.Validate("DistBPA", 3).IsInvalid());
   plan = TransportFaultPlan{};
   plan.death_min_messages = 0;
@@ -209,7 +209,7 @@ TEST(FaultTransportTest, ValidateRejectsBadPlans) {
   EXPECT_TRUE(plan.Validate("DistBPA", 3).IsInvalid());
   plan = TransportFaultPlan{};
   plan.flap_revive_calls = 2;
-  plan.kill_owner = 1;
+  plan.kill_owners = {1};
   EXPECT_TRUE(plan.Validate("DistBPA", 3).ok());
 }
 
@@ -558,7 +558,7 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
   for (const bool tput : {false, true}) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db);
     TransportFaultPlan plan;
-    plan.kill_owner = 2;
+    plan.kill_owners = {2};
     plan.kill_after_messages = 6;
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
@@ -668,7 +668,7 @@ TEST(DistFaultTest, PackedOwnerLossKeepsBpaSoundAtEveryKillPoint) {
     inner.AddOwner(ListOwner(&db, {0, 2}));
     inner.AddOwner(ListOwner(&db, {1, 3}));
     TransportFaultPlan plan;
-    plan.kill_owner = 0;
+    plan.kill_owners = {0};
     plan.kill_after_messages = kill;
     FaultInjectingTransport transport(&inner, plan);
     Coordinator coordinator(&transport, options);
@@ -709,7 +709,7 @@ TEST(DistFaultTest, DegradedRunRespectsGovernorDeadline) {
   InProcessTransport inner = InProcessTransport::PerListOwners(db);
   TransportFaultPlan plan;
   plan.seed = 11;
-  plan.kill_owner = 1;
+  plan.kill_owners = {1};
   plan.kill_after_messages = 4;
   plan.delay_rate = 0.5;
   plan.delay_ms = 1.0;
@@ -845,7 +845,7 @@ TEST(DistReplicaTest, MidQueryReplicaKillStaysExact) {
     TransportFaultPlan plan;
     // The handshake consumes the primary's whole budget: every query RPC to
     // list 2 finds it dead, so the breaker trips and the sibling takes over.
-    plan.kill_owner = InProcessTransport::OwnerIndex(4, 2, 0);
+    plan.kill_owners = {InProcessTransport::OwnerIndex(4, 2, 0)};
     plan.kill_after_messages = 1;
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
@@ -886,7 +886,7 @@ TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
     SCOPED_TRACE(kill_after);
     InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
     TransportFaultPlan plan;
-    plan.kill_owner = InProcessTransport::OwnerIndex(4, 1, 0);
+    plan.kill_owners = {InProcessTransport::OwnerIndex(4, 1, 0)};
     plan.kill_after_messages = kill_after;
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
@@ -1465,7 +1465,7 @@ TEST(DistFaultTransportTest, FlappingRevivesAfterExactRejectionWindow) {
   const Database db = MakeUniformDatabase(50, 1, 3);
   InProcessTransport inner = InProcessTransport::PerListOwners(db);
   TransportFaultPlan plan;
-  plan.kill_owner = 0;
+  plan.kill_owners = {0};
   plan.kill_after_messages = 2;
   plan.flap_revive_calls = 3;
   FaultInjectingTransport transport(&inner, plan);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/query_governor.h"
@@ -216,6 +217,15 @@ TEST(RejectionMessageTest, FaultSpikeMsNegative) {
                           {"FA", "spike_ms must be >= 0", "-1"}));
 }
 
+TEST(RejectionMessageTest, FaultSpikeMsNotFinite) {
+  for (double ms : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    FaultPlan plan;
+    plan.spike_ms = ms;
+    EXPECT_TRUE(MentionsAll(plan.Validate("BPA", 4),
+                            {"BPA", "spike_ms must be >= 0", "finite"}));
+  }
+}
+
 TEST(RejectionMessageTest, FaultDeathWindowInverted) {
   FaultPlan plan;
   plan.death_min_accesses = 10;
@@ -269,21 +279,22 @@ TEST(RejectionMessageTest, TransportDropRateOutOfRange) {
                            "drop_rate = 1.5"}));
 }
 
-TEST(RejectionMessageTest, TransportKillOwnerBeyondLastIndex) {
-  TransportFaultPlan plan;
-  plan.kill_owner = 3;
-  EXPECT_TRUE(MentionsAll(plan.Validate("DistTPUT", 3),
-                          {"DistTPUT", "kill_owner = 3",
-                           "last owner index 2"}));
-}
-
 TEST(RejectionMessageTest, TransportKillAfterZero) {
   TransportFaultPlan plan;
-  plan.kill_owner = 0;
+  plan.kill_owners = {0};
   plan.kill_after_messages = 0;
   EXPECT_TRUE(MentionsAll(plan.Validate("DistBPA", 3),
                           {"DistBPA", "kill_after_messages must be >= 1",
                            "kill_after_messages = 0"}));
+}
+
+TEST(RejectionMessageTest, TransportDelayMsNotFinite) {
+  for (double ms : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    TransportFaultPlan plan;
+    plan.delay_ms = ms;
+    EXPECT_TRUE(MentionsAll(plan.Validate("DistBPA", 3),
+                            {"DistBPA", "delay_ms must be >= 0", "finite"}));
+  }
 }
 
 TEST(RejectionMessageTest, TransportDeathWindowInverted) {

@@ -265,10 +265,12 @@ Status RunDistQuery(const std::map<std::string, std::string>& flags,
                              " exceeds the last replica index ", replicas - 1,
                              " (--replicas = ", replicas, ")");
     }
-    plan.kill_owner =
-        InProcessTransport::OwnerIndex(db.num_lists(), list, replica);
+    plan.kill_owners = {
+        InProcessTransport::OwnerIndex(db.num_lists(), list, replica)};
     plan.kill_after_messages = std::stoull(FlagOr(flags, "kill-after", "1"));
   }
+  TOPK_RETURN_NOT_OK(plan.Validate(algo == "bpa" ? "DistBPA" : "DistTPUT",
+                                   inner.num_owners()));
   FaultInjectingTransport faulty(&inner, plan);
   Transport* transport = plan.enabled() ? static_cast<Transport*>(&faulty)
                                         : static_cast<Transport*>(&inner);
