@@ -1,21 +1,34 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
+//
+// BPA2, paper Section 5 — the paper's second contribution. Same stopping rule
+// as BPA, but sorted access is replaced by *direct access* to position bpi+1,
+// which is by construction the smallest unseen position of the list. Hence no
+// list position is ever accessed twice (Theorem 5) and the total number of
+// accesses can be about (m-1) times lower than BPA's (Theorem 8). Best
+// positions are conceptually managed by the list owners; the query originator
+// only keeps Y and the m best-position scores.
+//
+// The run loop is templated like BPA's (core/bpa_loop.h) on the access
+// policy, the concrete tracker and the concrete scorer: the default
+// configuration devirtualizes and inlines all per-access work.
+// TopKAlgorithm (topk_algorithm.cc) instantiates it over the local policies.
 
-#include "core/bpa2_algorithm.h"
+#ifndef TOPK_CORE_BPA2_LOOP_H_
+#define TOPK_CORE_BPA2_LOOP_H_
 
 #include <algorithm>
 #include <limits>
 #include <type_traits>
 #include <vector>
 
+#include "core/execution_context.h"
 #include "core/list_io.h"
+#include "core/topk_algorithm.h"
 #include "core/topk_buffer.h"
 #include "tracker/bitarray_tracker.h"
 
 namespace topk {
-namespace {
 
-// Templated like BPA's loop (see bpa_algorithm.cc): the default
-// configuration devirtualizes and inlines all per-access work.
 template <typename IoT, typename TrackerT, typename ScorerT>
 Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
                    ExecutionContext* context, IoT io, TopKResult* result) {
@@ -191,6 +204,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
 template <typename IoT>
 Status DispatchBpa2(const AlgorithmOptions& options, const TopKQuery& query,
                     ExecutionContext* context, IoT io, TopKResult* result) {
+  context->PrepareTrackers(options.tracker, io.num_items(), io.num_lists());
   const bool sum = dynamic_cast<const SumScorer*>(query.scorer) != nullptr;
   if (options.tracker == TrackerKind::kBitArray) {
     return sum ? RunBpa2Loop<IoT, BitArrayTracker, SumScorer>(
@@ -204,15 +218,6 @@ Status DispatchBpa2(const AlgorithmOptions& options, const TopKQuery& query,
                    options, query, context, io, result);
 }
 
-}  // namespace
-
-Status Bpa2Algorithm::Run(const Database& db, const TopKQuery& query,
-                          ExecutionContext* context,
-                          TopKResult* result) const {
-  context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
-  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
-    return DispatchBpa2(options(), query, context, io, result);
-  });
-}
-
 }  // namespace topk
+
+#endif  // TOPK_CORE_BPA2_LOOP_H_

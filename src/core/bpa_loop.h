@@ -1,10 +1,24 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// The BPA run loop (paper Section 4), templated on the access policy
-// (core/list_io.h): bpa_algorithm.cc instantiates it over the local
+// The Best Position Algorithm (BPA), paper Section 4 — the paper's first
+// contribution. BPA scans like TA but additionally records the *positions*
+// revealed by sorted and random accesses. Its stopping threshold
+// λ = f(s1(bp1), ..., sm(bpm)) is evaluated at each list's best position
+// (deepest fully-seen prefix), which is >= TA's sorted depth, so λ <= δ and
+// BPA stops at least as early as TA (Lemma 1) and up to (m-1) times earlier
+// (Lemma 3).
+//
+// The Threshold Algorithm (TA), paper Section 3.2 (Fagin/Lotem/Naor;
+// Güntzer/Kießling/Balke; Nepal/Ramakrishna), runs on the same loop: it
+// scans all lists in parallel, after each row computes the threshold
+// δ = f(last scores seen under sorted access) and stops once the buffer holds
+// k items with overall score >= δ. BPA is TA with its threshold taken at the
+// best positions instead of the last sorted row.
+//
+// The run loop is templated on the access policy (core/list_io.h):
+// TopKAlgorithm (topk_algorithm.cc) instantiates it over the local
 // policies, the distributed coordinator over RemoteIo. It reads lists only
-// through the policy. It is TA's loop too (ta_algorithm.cc): BPA is TA with
-// its threshold taken at the best positions instead of the last sorted row.
+// through the policy.
 
 #ifndef TOPK_CORE_BPA_LOOP_H_
 #define TOPK_CORE_BPA_LOOP_H_

@@ -1,19 +1,34 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
+//
+// CA — the "Combined Algorithm" of Fagin, Lotem and Naor (the paper's
+// reference [15]), included to complete the middleware-cost framework the
+// paper builds on. CA interpolates between NRA and TA based on the cost
+// ratio h = cr/cs: it scans like NRA, and once every h rows it spends the
+// equivalent of one random access per list to fully resolve the unresolved
+// candidate with the highest upper bound. With cr >> cs this avoids TA's
+// per-row random-access storm while stopping far earlier than NRA.
+//
+// Like NRA, CA lower-bounds unknown local scores with the configured score
+// floor (AlgorithmOptions::score_floor) and rejects databases violating it
+// (ValidatePoolQuery). TopKAlgorithm (topk_algorithm.cc) instantiates the
+// run loop over the local policies.
 
-#include "core/ca_algorithm.h"
+#ifndef TOPK_CORE_CA_LOOP_H_
+#define TOPK_CORE_CA_LOOP_H_
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/candidate_bounds.h"
 #include "core/candidate_pool.h"
+#include "core/execution_context.h"
 #include "core/list_io.h"
+#include "core/topk_algorithm.h"
 
 namespace topk {
-
-namespace {
 
 // Templated on the access policy and the concrete scorer (like TA/BPA): the
 // default configuration — raw list reads, summation scoring — inlines the
@@ -33,9 +48,14 @@ Status RunCaLoop(const AlgorithmOptions& options, const TopKQuery& query,
 
   const CostModel model =
       options.cost_model.value_or(CostModel::PaperDefault(n));
-  // Resolve one candidate every h rows; h = cr/cs rounded, at least 1.
-  const Position resolve_every = static_cast<Position>(std::max(
-      1.0, std::round(model.random_cost / std::max(1e-9, model.sorted_cost))));
+  // Resolve one candidate every h rows; h = cr/cs rounded, at least 1. Every
+  // h > n runs alike (no resolution before the final stop check), so h is
+  // clamped to n + 1 in floating point: a ratio past Position's range
+  // (ExecuteInto admits any finite, non-negative costs) must not reach the
+  // cast.
+  const Position resolve_every = static_cast<Position>(std::clamp(
+      std::round(model.random_cost / std::max(1e-9, model.sorted_cost)), 1.0,
+      static_cast<double>(n) + 1.0));
 
   // The group index serves only the summation stop rule and victim argmax;
   // the generic-scorer fallback sweeps per candidate, so it skips the index
@@ -246,19 +266,6 @@ Status DispatchCa(const AlgorithmOptions& options, const TopKQuery& query,
   return RunCaLoop<IoT, Scorer>(options, query, context, io, result);
 }
 
-}  // namespace
-
-Status CaAlgorithm::ValidateFor(const Database& db,
-                                const TopKQuery& query) const {
-  (void)query;
-  return ValidatePoolQuery("CA", LocalIo(&db), options().score_floor);
-}
-
-Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,
-                        ExecutionContext* context, TopKResult* result) const {
-  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
-    return DispatchCa(options(), query, context, io, result);
-  });
-}
-
 }  // namespace topk
+
+#endif  // TOPK_CORE_CA_LOOP_H_

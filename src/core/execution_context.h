@@ -3,7 +3,7 @@
 // ExecutionContext: the reusable per-query scratch state of one algorithm
 // execution — the access engine, best-position trackers, top-k buffer, score
 // scratch vectors and the memoization table. Algorithms borrow a context per
-// Run(); callers that execute many queries (TopKServer workers, benchmarks,
+// run; callers that execute many queries (TopKServer workers, benchmarks,
 // coordinators) keep one context per thread and reuse it, which makes the
 // hot path allocation-free after warm-up: every structure resets in O(1) or
 // O(k)/O(m) writes into storage that is retained across queries and only
@@ -82,17 +82,17 @@ class ScoreMemo {
   uint32_t span_epoch_ = 0;
 };
 
-/// Reusable execution state borrowed by TopKAlgorithm::Run. Not thread-safe;
-/// use one context per concurrent execution. A context adapts to whatever
-/// database/query shape it is prepared for, so one instance can serve mixed
-/// workloads (different n, m, k, algorithms) back to back.
+/// Reusable execution state borrowed by an algorithm's run loop. Not
+/// thread-safe; use one context per concurrent execution. A context adapts
+/// to whatever database/query shape it is prepared for, so one instance can
+/// serve mixed workloads (different n, m, k, algorithms) back to back.
 class ExecutionContext {
  public:
   ExecutionContext() = default;
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Called by TopKAlgorithm::ExecuteInto before Run: resets the access
+  /// Called by TopKAlgorithm::ExecuteInto before the run: resets the access
   /// counts (and sizes the audit trail when `audit`), resets the top-k buffer
   /// to `k` and zero-fills the per-list score scratch. Tracker/memo/matrix
   /// scratch is prepared lazily by the algorithms that need it.

@@ -1,19 +1,28 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
+//
+// Fagin's Algorithm (FA), paper Section 3.1: scan the lists in parallel until
+// at least k items have been seen in *all* lists under sorted access, then
+// resolve the remaining local scores with random accesses.
+//
+// The run loop is templated on the access policy (core/list_io.h):
+// TopKAlgorithm (topk_algorithm.cc) instantiates it over the local
+// policies. The loop's aliveness guards are `if constexpr`-eliminated for the
+// fault-free policies.
 
-#include "core/fa_algorithm.h"
+#ifndef TOPK_CORE_FA_LOOP_H_
+#define TOPK_CORE_FA_LOOP_H_
 
 #include <algorithm>
 #include <limits>
 #include <vector>
 
+#include "core/execution_context.h"
 #include "core/list_io.h"
 #include "core/topk_buffer.h"
+#include "core/topk_result.h"
 
 namespace topk {
-namespace {
 
-// Templated on the access policy (core/list_io.h). The loop's aliveness
-// guards are `if constexpr`-eliminated for the fault-free policies.
 template <typename IoT>
 Status RunFaLoop(const TopKQuery& query, ExecutionContext* context, IoT io,
                  TopKResult* result) {
@@ -199,13 +208,6 @@ Status RunFaLoop(const TopKQuery& query, ExecutionContext* context, IoT io,
   return Status::OK();
 }
 
-}  // namespace
-
-Status FaAlgorithm::Run(const Database& db, const TopKQuery& query,
-                        ExecutionContext* context, TopKResult* result) const {
-  return RunOnLocalIo(db, options().audit_accesses, context, [&](auto io) {
-    return RunFaLoop(query, context, io, result);
-  });
-}
-
 }  // namespace topk
+
+#endif  // TOPK_CORE_FA_LOOP_H_

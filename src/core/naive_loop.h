@@ -1,14 +1,24 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
+//
+// The O(m*n) baseline from the paper's introduction: scan every list fully,
+// aggregate every item's overall score, return the k best. Used as the ground
+// truth in tests and as the "no early termination" reference in benchmarks.
+//
+// The scan is templated on the access policy (core/list_io.h). The oracle
+// ignores fault plans: TopKAlgorithm (topk_algorithm.cc) never runs it over
+// FaultIo.
 
-#include "core/naive_algorithm.h"
+#ifndef TOPK_CORE_NAIVE_LOOP_H_
+#define TOPK_CORE_NAIVE_LOOP_H_
 
 #include <vector>
 
+#include "core/execution_context.h"
 #include "core/list_io.h"
 #include "core/topk_buffer.h"
+#include "core/topk_result.h"
 
 namespace topk {
-namespace {
 
 // One full sorted scan per list; local scores are gathered per item.
 template <typename IoT>
@@ -35,18 +45,6 @@ Status RunNaiveScan(const TopKQuery& query, ExecutionContext* context, IoT io,
   return Status::OK();
 }
 
-}  // namespace
-
-Status NaiveAlgorithm::Run(const Database& db, const TopKQuery& query,
-                           ExecutionContext* context,
-                           TopKResult* result) const {
-  // The oracle ignores fault plans: it never reads through FaultIo.
-  if (options().audit_accesses) {
-    return RunNaiveScan(query, context, AuditIo(&db, &context->engine()),
-                        result);
-  }
-  return RunNaiveScan(query, context, RawListIo<>(&db, &context->engine()),
-                      result);
-}
-
 }  // namespace topk
+
+#endif  // TOPK_CORE_NAIVE_LOOP_H_

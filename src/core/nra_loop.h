@@ -1,9 +1,27 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// The NRA run loop (see nra_algorithm.h), templated on the access policy
-// (core/list_io.h): nra_algorithm.cc instantiates it over the local
-// policies, the distributed coordinator over RemoteIo for its degraded
-// path. It reads lists only through the policy.
+// NRA — "No Random Access" (Fagin, Lotem, Naor; the paper's reference [15]).
+// Included as a comparison baseline for settings where random access is
+// unavailable or prohibitively expensive. NRA performs only sorted accesses
+// and maintains, for every seen item, a lower bound (unknown local scores
+// replaced by the score floor) and an upper bound (unknown scores replaced by
+// the current last-seen score of the respective list). It stops when the k-th
+// best lower bound is at least (a) the upper bound of every other seen item
+// and (b) the threshold f(last scores), which upper-bounds all unseen items.
+//
+// NRA certifies top-k *membership*; the exact overall scores of the winners
+// may still be open when it stops. For reporting and test comparability the
+// implementation resolves the winners' exact scores with uncounted reads —
+// the access metrics stay faithful to the NRA model (zero random accesses).
+// A run that ends with a dead list (fault injection, or the distributed
+// coordinator's degraded path) cannot read the dead cells: it reports
+// Completion::kListFailure with the winners' certified lower bounds instead.
+//
+// The run loop is templated on the access policy (core/list_io.h):
+// TopKAlgorithm (topk_algorithm.cc) instantiates it over the local
+// policies and calls it directly for the random-access algorithms' fault
+// failover; the distributed coordinator runs it over RemoteIo for its
+// degraded path. It reads lists only through the policy.
 
 #ifndef TOPK_CORE_NRA_LOOP_H_
 #define TOPK_CORE_NRA_LOOP_H_

@@ -3,24 +3,98 @@
 #include "core/topk_algorithm.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/timer.h"
-#include "core/bpa2_algorithm.h"
-#include "core/bpa_algorithm.h"
-#include "core/ca_algorithm.h"
-#include "core/fa_algorithm.h"
-#include "core/naive_algorithm.h"
-#include "core/nra_algorithm.h"
-#include "core/ta_algorithm.h"
-#include "core/tput_algorithm.h"
+#include "core/bpa2_loop.h"
+#include "core/bpa_loop.h"
+#include "core/ca_loop.h"
+#include "core/candidate_bounds.h"
+#include "core/fa_loop.h"
+#include "core/list_io.h"
+#include "core/naive_loop.h"
+#include "core/nra_loop.h"
+#include "core/tput_loop.h"
 
 namespace topk {
+namespace {
 
-Status TopKAlgorithm::ValidateFor(const Database& /*db*/,
-                                  const TopKQuery& /*query*/) const {
+// Both costs price execution_cost, and CA casts their ratio to its resolve
+// period, so each must be finite and non-negative.
+Status ValidateCostModel(const char* engine, const CostModel& model) {
+  const std::pair<const char*, double> costs[] = {
+      {"sorted_cost", model.sorted_cost}, {"random_cost", model.random_cost}};
+  for (const auto& [field, cost] : costs) {
+    if (!std::isfinite(cost) || cost < 0.0) {
+      return Status::Invalid(engine, ": cost_model.", field,
+                             " must be finite and >= 0; got ", field, " = ",
+                             cost);
+    }
+  }
   return Status::OK();
 }
+
+// The checks a kind adds to ValidateQuery: the pool algorithms' catalog
+// checks, and TPUT's summation-only rule on top of them.
+Status ValidateKind(AlgorithmKind kind, const char* engine,
+                    const AlgorithmOptions& options, const Database& db,
+                    const TopKQuery& query) {
+  switch (kind) {
+    case AlgorithmKind::kNra:
+    case AlgorithmKind::kCa:
+      return ValidatePoolQuery(engine, LocalIo(&db), options.score_floor);
+    case AlgorithmKind::kTput:
+      return ValidateTputQuery(engine, query, LocalIo(&db),
+                               options.score_floor);
+    default:
+      return Status::OK();
+  }
+}
+
+// Runs `kind`'s loop over the local policy the prepared context calls for.
+// Naive, the oracle, ignores fault plans: under FaultIo it scans the plain
+// local read path.
+Status RunKind(AlgorithmKind kind, const AlgorithmOptions& options,
+               const Database& db, const TopKQuery& query,
+               ExecutionContext* context, TopKResult* result) {
+  return RunOnLocalIo(db, options.audit_accesses, context, [&](auto io) {
+    using IoT = decltype(io);
+    switch (kind) {
+      case AlgorithmKind::kNaive:
+        if constexpr (IoT::kFaultAware) {
+          return RunNaiveScan(query, context,
+                              RawListIo<>(&db, &context->engine()), result);
+        } else {
+          return RunNaiveScan(query, context, io, result);
+        }
+      case AlgorithmKind::kFa:
+        return RunFaLoop(query, context, io, result);
+      case AlgorithmKind::kTa:
+        // TA is BPA's loop without best positions (core/bpa_loop.h).
+        if (dynamic_cast<const SumScorer*>(query.scorer) != nullptr) {
+          return RunBpaLoop<IoT, NoTracker, SumScorer>(options, query, context,
+                                                       io, result);
+        }
+        return RunBpaLoop<IoT, NoTracker, Scorer>(options, query, context, io,
+                                                  result);
+      case AlgorithmKind::kBpa:
+        return DispatchBpa(options, query, context, io, result);
+      case AlgorithmKind::kBpa2:
+        return DispatchBpa2(options, query, context, io, result);
+      case AlgorithmKind::kTput:
+        return RunTputLoop(options, query, context, io, result);
+      case AlgorithmKind::kNra:
+        return DispatchNra(options, query, context, io, result);
+      case AlgorithmKind::kCa:
+        return DispatchCa(options, query, context, io, result);
+    }
+    return Status::Invalid("unknown algorithm kind ", static_cast<int>(kind));
+  });
+}
+
+}  // namespace
 
 Result<TopKResult> TopKAlgorithm::Execute(const Database& db,
                                           const TopKQuery& query) const {
@@ -39,17 +113,21 @@ Result<TopKResult> TopKAlgorithm::Execute(const Database& db,
 Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
                                   ExecutionContext* context,
                                   TopKResult* result) const {
-  TOPK_RETURN_NOT_OK(ValidateQuery(name().c_str(), query, db.num_items()));
-  TOPK_RETURN_NOT_OK(options_.governor.Validate(name().c_str()));
-  TOPK_RETURN_NOT_OK(options_.fault_plan.Validate(name().c_str(),
-                                                  db.num_lists()));
+  const std::string name = ToString(kind_);
+  TOPK_RETURN_NOT_OK(ValidateQuery(name.c_str(), query, db.num_items()));
+  TOPK_RETURN_NOT_OK(options_.governor.Validate(name.c_str()));
+  if (options_.cost_model.has_value()) {
+    TOPK_RETURN_NOT_OK(ValidateCostModel(name.c_str(), *options_.cost_model));
+  }
+  TOPK_RETURN_NOT_OK(
+      options_.fault_plan.Validate(name.c_str(), db.num_lists()));
   if (options_.fault_plan.enabled() && options_.audit_accesses) {
     return Status::Invalid(
-        name(),
+        name,
         ": fault injection (fault_plan) cannot be combined with "
         "audit_accesses; the audited read path rolls no fault schedule");
   }
-  TOPK_RETURN_NOT_OK(ValidateFor(db, query));
+  TOPK_RETURN_NOT_OK(ValidateKind(kind_, name.c_str(), options_, db, query));
 
   context->Prepare(db, options_.audit_accesses, query.k);
   context->governor().Arm(options_.governor);
@@ -60,24 +138,24 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
   }
   result->Clear();
   Timer timer;
-  Status run_status = Run(db, query, context, result);
-  if (run_status.IsUnavailable() && context->faults().armed()) {
+  Status run_status = RunKind(kind_, options_, db, query, context, result);
+  if (run_status.IsUnavailable() && context->faults().armed() &&
+      ValidatePoolQuery("NRA", LocalIo(&db), options_.score_floor).ok()) {
     // A random-access algorithm lost a list permanently mid-run. Fail over
     // to NRA over the survivors: accesses already spent stay counted
     // (carried across the engine reset; the NRA run's policy counts on from
     // them), the fault schedule stays armed — dead lists stay dead and the
     // deterministic schedule continues — and the governor keeps running
     // down the same deadline and budgets.
-    NraAlgorithm fallback_nra(options_);
-    TopKAlgorithm& fallback = fallback_nra;  // protected Run/ValidateFor
-    if (fallback.ValidateFor(db, query).ok()) {
-      const AccessStats spent = context->engine().stats();
-      context->Prepare(db, /*audit=*/false, query.k);
-      context->engine().set_stats(spent);
-      result->Clear();
-      run_status = fallback.Run(db, query, context, result);
-      result->failed_over = true;
-    }
+    const AccessStats spent = context->engine().stats();
+    context->Prepare(db, /*audit=*/false, query.k);
+    context->engine().set_stats(spent);
+    result->Clear();
+    run_status =
+        DispatchNra(options_, query, context,
+                    FaultIo(&db, &context->engine(), &context->faults()),
+                    result);
+    result->failed_over = true;
   }
   TOPK_RETURN_NOT_OK(run_status);
   result->elapsed_ms = timer.ElapsedMillis();
@@ -100,8 +178,7 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     result->fault_retries = faults.transient_faults;
   }
 
-  return FinishResult(name().c_str(), query.k, options_.governor.strict,
-                      result);
+  return FinishResult(name.c_str(), query.k, options_.governor.strict, result);
 }
 
 Status ValidateQuery(const char* engine, const TopKQuery& query, size_t n) {
@@ -190,25 +267,7 @@ std::string ToString(AlgorithmKind kind) {
 
 std::unique_ptr<TopKAlgorithm> MakeAlgorithm(AlgorithmKind kind,
                                              AlgorithmOptions options) {
-  switch (kind) {
-    case AlgorithmKind::kNaive:
-      return std::make_unique<NaiveAlgorithm>(std::move(options));
-    case AlgorithmKind::kFa:
-      return std::make_unique<FaAlgorithm>(std::move(options));
-    case AlgorithmKind::kTa:
-      return std::make_unique<TaAlgorithm>(std::move(options));
-    case AlgorithmKind::kBpa:
-      return std::make_unique<BpaAlgorithm>(std::move(options));
-    case AlgorithmKind::kBpa2:
-      return std::make_unique<Bpa2Algorithm>(std::move(options));
-    case AlgorithmKind::kTput:
-      return std::make_unique<TputAlgorithm>(std::move(options));
-    case AlgorithmKind::kNra:
-      return std::make_unique<NraAlgorithm>(std::move(options));
-    case AlgorithmKind::kCa:
-      return std::make_unique<CaAlgorithm>(std::move(options));
-  }
-  return nullptr;
+  return std::make_unique<TopKAlgorithm>(kind, std::move(options));
 }
 
 const std::vector<AlgorithmKind>& AllAlgorithmKinds() {

@@ -1,6 +1,8 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // TopKAlgorithm: the common driver for every top-k algorithm in the library.
+// An algorithm is its AlgorithmKind plus its AlgorithmOptions; the run loops
+// live in core/*_loop.h.
 
 #ifndef TOPK_CORE_TOPK_ALGORITHM_H_
 #define TOPK_CORE_TOPK_ALGORITHM_H_
@@ -44,8 +46,9 @@ struct AlgorithmOptions {
   /// paper's threshold tables (Figure 1.b) in tests and teaching material.
   bool collect_trace = false;
 
-  /// Cost model for TopKResult::execution_cost. Defaults to
-  /// CostModel::PaperDefault(n): cs = 1, cr = log2(n).
+  /// Cost model for TopKResult::execution_cost and CA's resolve period
+  /// h = round(cr/cs). Defaults to CostModel::PaperDefault(n): cs = 1,
+  /// cr = log2(n). Both costs must be finite and >= 0.
   std::optional<CostModel> cost_model;
 
   /// Lower bound that every local score is guaranteed to respect; used by NRA
@@ -91,8 +94,24 @@ struct AlgorithmOptions {
   FaultPlan fault_plan;
 };
 
-/// Base class: validates the query, times the run, applies the cost model.
-/// Concrete algorithms implement Run().
+/// Every algorithm shipped with the library.
+enum class AlgorithmKind {
+  kNaive,
+  kFa,
+  kTa,
+  kBpa,
+  kBpa2,
+  kTput,
+  kNra,
+  kCa,
+};
+
+/// Paper-style display name ("TA", "BPA", ...).
+std::string ToString(AlgorithmKind kind);
+
+/// One algorithm: its kind and its options. ExecuteInto validates the query,
+/// runs the kind's loop (core/*_loop.h) over the local access policy the
+/// options call for, times the run and applies the cost model.
 ///
 /// Determinism contract: every algorithm returns the *exact* same top-k set
 /// for the same (database, query) — the k smallest items under the total
@@ -103,21 +122,20 @@ struct AlgorithmOptions {
 /// could precede a buffered item in id order), and all candidate/buffer
 /// structures break score ties toward the smaller item id. Differential
 /// tests compare exact item sequences, not just score multisets.
-class TopKAlgorithm {
+class TopKAlgorithm final {
  public:
-  explicit TopKAlgorithm(AlgorithmOptions options = {})
-      : options_(std::move(options)) {}
-
-  virtual ~TopKAlgorithm() = default;
+  explicit TopKAlgorithm(AlgorithmKind kind, AlgorithmOptions options = {})
+      : kind_(kind), options_(std::move(options)) {}
 
   /// Algorithm name as used in the paper ("TA", "BPA", "BPA2", ...).
-  virtual std::string name() const = 0;
+  std::string name() const { return ToString(kind_); }
 
   /// Executes the query against `db`. Fails with Status::Invalid on malformed
-  /// queries (k = 0, k > n, missing scorer) or on databases an algorithm
-  /// cannot serve (e.g. TPUT with a non-sum scorer). Convenience wrapper that
-  /// pays for a fresh ExecutionContext; batch callers should hold a context
-  /// per thread and use the overload below.
+  /// queries (k = 0, k > n, missing scorer) or options (a non-finite or
+  /// negative cost_model cost), and on databases an algorithm cannot serve
+  /// (e.g. TPUT with a non-sum scorer). Convenience wrapper that pays for a
+  /// fresh ExecutionContext; batch callers should hold a context per thread
+  /// and use the overload below.
   Result<TopKResult> Execute(const Database& db, const TopKQuery& query) const;
 
   /// Executes the query borrowing `context` for all scratch state. Reusing
@@ -128,26 +146,16 @@ class TopKAlgorithm {
 
   /// Lowest-level entry point: like Execute, but writes into a caller-owned
   /// result whose capacity is reused. With a warmed-up context and result,
-  /// a query performs zero heap allocations end to end.
+  /// a query performs zero heap allocations end to end — except a fault
+  /// failover: a random-access algorithm that loses a list builds the
+  /// Unavailable status it then discards for the NRA run (3 allocations).
   Status ExecuteInto(const Database& db, const TopKQuery& query,
                      ExecutionContext* context, TopKResult* result) const;
 
   const AlgorithmOptions& options() const { return options_; }
 
- protected:
-  /// Algorithm body. `context` carries the counted access layer plus all
-  /// reusable scratch (prepared for this query); `result` arrives cleared
-  /// with its items empty. Implementations fill result->items (any order;
-  /// ExecuteInto sorts), stop_position and min_best_position where
-  /// applicable.
-  virtual Status Run(const Database& db, const TopKQuery& query,
-                     ExecutionContext* context, TopKResult* result) const = 0;
-
-  /// Per-algorithm validation hook; default accepts everything Execute
-  /// accepts.
-  virtual Status ValidateFor(const Database& db, const TopKQuery& query) const;
-
  private:
+  AlgorithmKind kind_;
   AlgorithmOptions options_;
 };
 
@@ -164,21 +172,6 @@ Status ValidateQuery(const char* engine, const TopKQuery& query, size_t n);
 /// ResourceExhausted (governor trip). `engine` names the engine in messages.
 Status FinishResult(const char* engine, size_t k, bool strict,
                     TopKResult* result);
-
-/// Every algorithm shipped with the library.
-enum class AlgorithmKind {
-  kNaive,
-  kFa,
-  kTa,
-  kBpa,
-  kBpa2,
-  kTput,
-  kNra,
-  kCa,
-};
-
-/// Paper-style display name ("TA", "BPA", ...).
-std::string ToString(AlgorithmKind kind);
 
 /// Instantiates an algorithm.
 std::unique_ptr<TopKAlgorithm> MakeAlgorithm(AlgorithmKind kind,

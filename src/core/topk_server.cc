@@ -2,7 +2,6 @@
 
 #include "core/topk_server.h"
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <utility>
@@ -10,8 +9,6 @@
 namespace topk {
 
 namespace {
-
-constexpr size_t kNumKinds = static_cast<size_t>(AlgorithmKind::kCa) + 1;
 
 // Watchdog scan period. Deadline enforcement quantizes to this (plus the
 // algorithm's round length), so it stays well under the finest SLA.
@@ -27,7 +24,11 @@ TopKServer::TopKServer(const Database* db, ServerOptions options)
   if (options_.queue_capacity == 0) {
     options_.queue_capacity = 1;
   }
-  shed_algorithms_.resize(kNumKinds);
+  degraded_options_ = options_.algorithm_options;
+  degraded_options_.governor.total_access_budget = kDegradedAccessBudget;
+  // Degraded mode exists to answer, not to error: anytime results even when
+  // the server-wide options are strict.
+  degraded_options_.governor.strict = false;
   contexts_.reserve(options_.num_threads);
   slots_.reserve(options_.num_threads);
   for (size_t i = 0; i < options_.num_threads; ++i) {
@@ -117,16 +118,8 @@ void TopKServer::ServeDegraded(const ServerRequest& request,
                                const Callback& deliver) {
   Result<TopKResult> result = [&]() -> Result<TopKResult> {
     std::lock_guard<std::mutex> lock(shed_mu_);
-    auto& algorithm = shed_algorithms_[static_cast<size_t>(request.kind)];
-    if (algorithm == nullptr) {
-      AlgorithmOptions degraded = options_.algorithm_options;
-      degraded.governor.total_access_budget = kDegradedAccessBudget;
-      // Degraded mode exists to answer, not to error: anytime results even
-      // when the server-wide options are strict.
-      degraded.governor.strict = false;
-      algorithm = MakeAlgorithm(request.kind, degraded);
-    }
-    return algorithm->Execute(*db_, request.query, &shed_context_);
+    return TopKAlgorithm(request.kind, degraded_options_)
+        .Execute(*db_, request.query, &shed_context_);
   }();
   if (result.ok()) {
     counters_.completed.fetch_add(1, std::memory_order_relaxed);
@@ -139,7 +132,6 @@ void TopKServer::ServeDegraded(const ServerRequest& request,
 void TopKServer::WorkerLoop(size_t worker_index) {
   ExecutionContext* context = contexts_[worker_index].get();
   InflightSlot& slot = *slots_[worker_index];
-  std::array<std::unique_ptr<TopKAlgorithm>, kNumKinds> algorithms;
   TopKResult scratch;
   for (;;) {
     Pending pending;
@@ -160,11 +152,6 @@ void TopKServer::WorkerLoop(size_t worker_index) {
           " ms expired while the request was queued")));
       continue;
     }
-    auto& algorithm = algorithms[static_cast<size_t>(pending.request.kind)];
-    if (algorithm == nullptr) {
-      algorithm = MakeAlgorithm(pending.request.kind,
-                                options_.algorithm_options);
-    }
     {
       std::lock_guard<std::mutex> lock(slot.mu);
       slot.governor = &context->governor();
@@ -173,8 +160,9 @@ void TopKServer::WorkerLoop(size_t worker_index) {
       slot.deadline_fired = false;
     }
     scratch.Clear();
-    const Status status = algorithm->ExecuteInto(*db_, pending.request.query,
-                                                 context, &scratch);
+    const Status status =
+        TopKAlgorithm(pending.request.kind, options_.algorithm_options)
+            .ExecuteInto(*db_, pending.request.query, context, &scratch);
     bool deadline_fired = false;
     {
       std::lock_guard<std::mutex> lock(slot.mu);

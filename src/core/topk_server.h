@@ -3,8 +3,9 @@
 // TopKServer: a persistent serving frontend over the algorithm library.
 //
 // A server owns a pool of worker threads, each with a private, warmed
-// ExecutionContext and per-algorithm instances cached across requests, fed by
-// a bounded multi-producer admission queue. Submitters get a
+// ExecutionContext, fed by a bounded multi-producer admission queue. A worker
+// runs the request's AlgorithmKind under the server-wide
+// ServerOptions::algorithm_options. Submitters get a
 // std::future<Result<TopKResult>> (or a completion callback) and never block
 // on a full queue — admission control sheds instead:
 //
@@ -17,9 +18,9 @@
 //                                the tripped budget).
 //
 // Deadlines. Each request may carry an SLA deadline (ServerRequest::
-// deadline_ms, measured from admission). Worker algorithm instances are
-// cached with const options, so per-request deadlines are enforced from the
-// outside: a watchdog thread scans the in-flight slots and calls
+// deadline_ms, measured from admission). The algorithm options are
+// server-wide, so per-request deadlines are enforced from the outside: a
+// watchdog thread scans the in-flight slots and calls
 // QueryGovernor::RequestCancel() on any run past its deadline. The running
 // algorithm observes the flag at its next round boundary, stops, and
 // certifies an anytime result; the worker rewrites Completion::kCancelled to
@@ -34,9 +35,9 @@
 // read and cancelled under the slot mutex, so a cancel can never land on the
 // *next* request of a worker).
 //
-// Steady state allocates nothing on the execution path: contexts, results
-// and algorithm instances are reused per worker; only the future/promise
-// plumbing of each request allocates.
+// Steady state allocates nothing on the execution path: contexts and results
+// are reused per worker; only the future/promise plumbing of each request
+// allocates.
 //
 // Batches are clients like any other: Submit every query, then wait on the
 // futures. A batch larger than queue_capacity sheds per shed_policy.
@@ -94,10 +95,10 @@ struct ServerOptions {
 
   ShedPolicy shed_policy = ShedPolicy::kReject;
 
-  /// Base options for the cached worker algorithms. Per-request deadlines do
-  /// NOT go through these (see the watchdog comment above); limits set here
-  /// apply to every request. GovernorLimits::strict converts degradations
-  /// into Status errors server-wide.
+  /// Options every request runs under. Per-request deadlines do NOT go
+  /// through these (see the watchdog comment above); limits set here apply
+  /// to every request. GovernorLimits::strict converts degradations into
+  /// Status errors server-wide.
   AlgorithmOptions algorithm_options;
 };
 
@@ -204,11 +205,12 @@ class TopKServer {
   std::vector<std::thread> workers_;
   std::thread watchdog_;
 
-  // Degraded lane: one context + per-kind algorithm cache, serialized by a
-  // mutex (shedding is the overload path; contention here is the point).
+  // Degraded lane: one context, serialized by a mutex (shedding is the
+  // overload path; contention here is the point), and the server-wide
+  // options under kDegradedAccessBudget, built once by the constructor.
   std::mutex shed_mu_;
   ExecutionContext shed_context_;
-  std::vector<std::unique_ptr<TopKAlgorithm>> shed_algorithms_;
+  AlgorithmOptions degraded_options_;
 
   struct Counters {
     std::atomic<uint64_t> submitted{0};

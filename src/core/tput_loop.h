@@ -1,9 +1,25 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// The TPUT run loop (three phases, see tput_algorithm.h), templated on the
-// access policy (core/list_io.h): tput_algorithm.cc instantiates it over the
-// local policies, the distributed coordinator over RemoteIo. It reads lists
-// only through the policy.
+// TPUT — "Three-Phase Uniform Threshold" (Cao & Wang, PODC 2004), discussed in
+// the paper's related work (Section 7). Implemented as a comparison baseline:
+//
+//   Phase 1: fetch the top k entries of every list; τ1 = k-th largest partial
+//            sum (missing scores taken as the score floor).
+//   Phase 2: continue fetching every list down to local score >= τ1/m; prune
+//            candidates whose upper bound is below τ2, the new k-th largest
+//            partial sum.
+//   Phase 3: random accesses resolve the exact scores of survivors.
+//
+// TPUT's thresholding is defined for summation scoring over scores bounded
+// below; ValidateTputQuery rejects other scorers or databases with scores
+// below the configured floor. As the paper notes, TPUT is not
+// instance-optimal: a list whose scores sit just above τ1/m forces it to
+// fetch that entire list.
+//
+// The run loop is templated on the access policy (core/list_io.h):
+// TopKAlgorithm (topk_algorithm.cc) instantiates it over the local
+// policies, the distributed coordinator over RemoteIo. It reads lists only
+// through the policy.
 
 #ifndef TOPK_CORE_TPUT_LOOP_H_
 #define TOPK_CORE_TPUT_LOOP_H_

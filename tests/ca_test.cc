@@ -1,6 +1,6 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 
-#include "core/ca_algorithm.h"
+#include "core/ca_loop.h"
 
 #include <gtest/gtest.h>
 
@@ -103,6 +103,41 @@ TEST(CaTest, UnitCostModelDegeneratesTowardPerRowResolution) {
                          .ValueOrDie();
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_DOUBLE_EQ(result.items[i].score, naive.items[i].score);
+  }
+}
+
+TEST(CaTest, HugeCostRatioRunsAsAResolvePeriodPastN) {
+  // Both ratios exceed Position's range (2^32 + 3 would wrap to h = 3 in an
+  // unchecked cast). CA clamps h to n + 1 before the cast; every h > n runs
+  // alike (no resolution before the final stop check), so each run must
+  // return Naive's answer with exactly the accesses of an h = n + 1 run.
+  const Database db = MakeUniformDatabase(500, 3, 38);
+  SumScorer sum;
+  const TopKQuery query{5, &sum};
+  AlgorithmOptions past_n;
+  past_n.cost_model =
+      CostModel{1.0, static_cast<double>(db.num_items() + 1)};
+  const auto reference = MakeAlgorithm(AlgorithmKind::kCa, past_n)
+                             ->Execute(db, query)
+                             .ValueOrDie();
+  const auto naive =
+      MakeAlgorithm(AlgorithmKind::kNaive)->Execute(db, query).ValueOrDie();
+  for (double ratio : {1e10, 4294967299.0}) {
+    SCOPED_TRACE(ratio);
+    AlgorithmOptions huge;
+    huge.cost_model = CostModel{1.0, ratio};
+    const auto result = MakeAlgorithm(AlgorithmKind::kCa, huge)
+                            ->Execute(db, query)
+                            .ValueOrDie();
+    ASSERT_EQ(result.items.size(), query.k);
+    for (size_t i = 0; i < query.k; ++i) {
+      EXPECT_EQ(result.items[i].item, naive.items[i].item);
+      EXPECT_DOUBLE_EQ(result.items[i].score, naive.items[i].score);
+    }
+    EXPECT_EQ(result.stats.sorted_accesses, reference.stats.sorted_accesses);
+    EXPECT_EQ(result.stats.random_accesses, reference.stats.random_accesses);
+    EXPECT_EQ(result.stats.direct_accesses, reference.stats.direct_accesses);
+    EXPECT_EQ(result.stop_position, reference.stop_position);
   }
 }
 

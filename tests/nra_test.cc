@@ -1,6 +1,6 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 
-#include "core/nra_algorithm.h"
+#include "core/nra_loop.h"
 
 #include <gtest/gtest.h>
 

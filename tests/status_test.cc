@@ -154,11 +154,50 @@ TEST(RejectionMessageTest, ZeroK) {
 TEST(RejectionMessageTest, KBeyondDatabaseSize) {
   Database db = MakeUniformDatabase(32, 2, 1);
   SumScorer scorer;
-  auto status = MakeAlgorithm(AlgorithmKind::kBpa)
-                    ->Execute(db, TopKQuery{33, &scorer})
-                    .status();
+  for (AlgorithmKind kind : AllAlgorithmKinds()) {
+    const std::string name = ToString(kind);
+    SCOPED_TRACE(name);
+    auto status =
+        MakeAlgorithm(kind)->Execute(db, TopKQuery{33, &scorer}).status();
+    EXPECT_TRUE(status.IsInvalid());
+    EXPECT_TRUE(MentionsAll(status, {name.c_str(), "k = 33", "n = 32"}));
+  }
+}
+
+// The status of `kind` run under `model` on a small valid query.
+Status CostModelStatus(AlgorithmKind kind, CostModel model) {
+  Database db = MakeUniformDatabase(32, 2, 1);
+  SumScorer scorer;
+  AlgorithmOptions options;
+  options.cost_model = model;
+  return MakeAlgorithm(kind, options)
+      ->Execute(db, TopKQuery{3, &scorer})
+      .status();
+}
+
+TEST(RejectionMessageTest, CostModelNaN) {
+  const Status status =
+      CostModelStatus(AlgorithmKind::kCa, CostModel{1.0, std::nan("")});
   EXPECT_TRUE(status.IsInvalid());
-  EXPECT_TRUE(MentionsAll(status, {"BPA", "k = 33", "n = 32"}));
+  EXPECT_TRUE(MentionsAll(
+      status, {"CA", "cost_model", "random_cost must be finite", "nan"}));
+}
+
+TEST(RejectionMessageTest, CostModelInfinite) {
+  const Status status = CostModelStatus(
+      AlgorithmKind::kTa,
+      CostModel{std::numeric_limits<double>::infinity(), 1.0});
+  EXPECT_TRUE(status.IsInvalid());
+  EXPECT_TRUE(MentionsAll(
+      status, {"TA", "cost_model", "sorted_cost must be finite", "inf"}));
+}
+
+TEST(RejectionMessageTest, CostModelNegative) {
+  const Status status =
+      CostModelStatus(AlgorithmKind::kBpa2, CostModel{1.0, -2.5});
+  EXPECT_TRUE(status.IsInvalid());
+  EXPECT_TRUE(MentionsAll(
+      status, {"BPA2", "cost_model", "random_cost", ">= 0", "-2.5"}));
 }
 
 TEST(RejectionMessageTest, GovernorDeadlineNaN) {

@@ -1,6 +1,6 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 
-#include "core/tput_algorithm.h"
+#include "core/tput_loop.h"
 
 #include <gtest/gtest.h>
 

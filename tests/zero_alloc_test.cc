@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "core/algorithms.h"
 #include "gen/database_generator.h"
@@ -241,6 +242,41 @@ TEST(ZeroAllocTest, WarmedFaultInjectedQueriesDoNotAllocate) {
     const uint64_t allocs = AllocationsPerWarmedLoop(kind, options, 5, &all_ok);
     EXPECT_TRUE(all_ok);
     EXPECT_EQ(allocs, 0u);
+  }
+}
+
+// A targeted kill makes every random-access algorithm fail over to NRA. The
+// loop that loses the list builds an Unavailable status, which ExecuteInto
+// discards for the NRA run: those 3 allocations are the only ones a warmed
+// failover may make. NRA and CA degrade in place and allocate nothing.
+TEST(ZeroAllocTest, WarmedFailoverAllocatesOnlyTheDiscardedStatus) {
+  constexpr int kQueries = 5;
+  constexpr uint64_t kDiscardedStatusAllocs = 3;
+  const Database db = MakeUniformDatabase(10000, 5, 42);
+  SumScorer sum;
+  for (uint64_t kill_after : {1, 40, 400}) {
+    AlgorithmOptions options;
+    options.fault_plan.kill_list = 0;
+    options.fault_plan.kill_after_accesses = kill_after;
+    for (AlgorithmKind kind : AllAlgorithmKinds()) {
+      if (kind == AlgorithmKind::kNaive) {
+        continue;  // the oracle ignores faults
+      }
+      SCOPED_TRACE(ToString(kind) + " kill_after " +
+                   std::to_string(kill_after));
+      const bool degrades_in_place =
+          kind == AlgorithmKind::kNra || kind == AlgorithmKind::kCa;
+      const auto once =
+          MakeAlgorithm(kind, options)->Execute(db, TopKQuery{20, &sum});
+      ASSERT_TRUE(once.ok());
+      EXPECT_NE(once.ValueUnsafe().failed_over, degrades_in_place);
+      bool all_ok = false;
+      const uint64_t allocs =
+          AllocationsPerWarmedLoop(kind, options, kQueries, &all_ok);
+      EXPECT_TRUE(all_ok);
+      EXPECT_LE(allocs, degrades_in_place ? 0u
+                                          : kDiscardedStatusAllocs * kQueries);
+    }
   }
 }
 

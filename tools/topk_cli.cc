@@ -27,11 +27,13 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flag_parse.h"
 #include "common/macros.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
@@ -67,6 +69,8 @@ int Usage() {
       "scorers:  sum min max average weighted       (default sum)\n"
       "trackers: bitarray btree set                 (default bitarray)\n"
       "\n"
+      "Numeric flags take plain non-negative numbers: no sign, no suffix.\n"
+      "\n"
       "--deadline-ms / --access-budget govern the query: on a tripped limit\n"
       "the run stops at the next round boundary and reports an anytime\n"
       "answer with certified lower-bound scores and Fagin's theta factor.\n"
@@ -84,9 +88,64 @@ int Usage() {
   return 2;
 }
 
-// --flag value parser; returns map and positional command.
-bool ParseArgs(int argc, char** argv, std::string* command,
-               std::map<std::string, std::string>* flags) {
+using Flags = std::map<std::string, std::string>;
+
+// --weights: comma-separated non-negative weights.
+bool ParseWeights(const std::string& csv, std::vector<double>* weights) {
+  std::stringstream ss(csv);
+  std::string cell;
+  double weight = 0.0;
+  while (std::getline(ss, cell, ',')) {
+    if (!ParseFlagDouble(cell.c_str(), &weight)) {
+      return false;
+    }
+    weights->push_back(weight);
+  }
+  return true;
+}
+
+// --kill-replica: <list>:<replica>.
+bool ParseListReplica(const std::string& value, size_t* list,
+                      size_t* replica) {
+  const size_t colon = value.find(':');
+  return colon != std::string::npos &&
+         ParseFlagSize(value.substr(0, colon).c_str(), list) &&
+         ParseFlagSize(value.substr(colon + 1).c_str(), replica);
+}
+
+// Whether `value` is a well-formed value of `flag`, parsed strictly
+// (common/flag_parse.h: no sign, no suffix, no overflow). ParseArgs checks
+// every flag given, so a malformed number is a usage error naming the flag,
+// never a silently different query; the commands then read checked values.
+bool WellFormed(const std::string& flag, const std::string& value) {
+  static const std::set<std::string> kSizes = {
+      "n", "m", "k", "replicas", "kill-list", "requests", "threads", "queue"};
+  static const std::set<std::string> kU64s = {"seed", "fault-seed",
+                                              "kill-after", "access-budget"};
+  static const std::set<std::string> kDoubles = {"alpha", "theta",
+                                                 "deadline-ms"};
+  size_t size = 0;
+  uint64_t u64 = 0;
+  double real = 0.0;
+  std::vector<double> weights;
+  if (kSizes.count(flag)) {
+    return ParseFlagSize(value.c_str(), &size);
+  }
+  if (kU64s.count(flag)) {
+    return ParseFlagU64(value.c_str(), &u64);
+  }
+  if (kDoubles.count(flag)) {
+    return ParseFlagDouble(value.c_str(), &real);
+  }
+  if (flag == "weights") {
+    return ParseWeights(value, &weights);
+  }
+  return flag != "kill-replica" || ParseListReplica(value, &size, &size);
+}
+
+// --flag value parser; returns map and positional command. A malformed
+// numeric value is reported here, naming the flag.
+bool ParseArgs(int argc, char** argv, std::string* command, Flags* flags) {
   if (argc < 2) {
     return false;
   }
@@ -104,16 +163,36 @@ bool ParseArgs(int argc, char** argv, std::string* command,
     if (i + 1 >= argc) {
       return false;
     }
-    (*flags)[arg] = argv[++i];
+    const std::string value = argv[++i];
+    if (!WellFormed(arg, value)) {
+      std::cerr << "error: malformed --" << arg << " value '" << value
+                << "'\n";
+      return false;
+    }
+    (*flags)[arg] = value;
   }
   return true;
 }
 
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
+std::string FlagOr(const Flags& flags, const std::string& key,
+                   const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
 }
+
+// The value of numeric flag `key`, which ParseArgs checked, or `fallback`
+// when the flag is absent.
+template <typename T, bool (*kParse)(const char*, T*)>
+T NumberFlag(const Flags& flags, const std::string& key, T fallback) {
+  const auto it = flags.find(key);
+  if (it != flags.end()) {
+    kParse(it->second.c_str(), &fallback);
+  }
+  return fallback;
+}
+constexpr auto SizeFlag = NumberFlag<size_t, ParseFlagSize>;
+constexpr auto U64Flag = NumberFlag<uint64_t, ParseFlagU64>;
+constexpr auto DoubleFlag = NumberFlag<double, ParseFlagDouble>;
 
 Result<AlgorithmKind> ParseAlgo(const std::string& name) {
   static const std::map<std::string, AlgorithmKind> kMap = {
@@ -157,15 +236,7 @@ Result<std::unique_ptr<Scorer>> ParseScorer(const std::string& name,
   }
   if (name == "weighted") {
     std::vector<double> w;
-    std::stringstream ss(weights);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      try {
-        w.push_back(std::stod(cell));
-      } catch (...) {
-        return Status::Invalid("bad weight '", cell, "'");
-      }
-    }
+    ParseWeights(weights, &w);  // checked by ParseArgs
     TOPK_ASSIGN_OR_RETURN(WeightedSumScorer scorer,
                           WeightedSumScorer::Make(std::move(w)));
     return std::unique_ptr<Scorer>(new WeightedSumScorer(std::move(scorer)));
@@ -192,26 +263,29 @@ Status SaveDb(const Database& db, const std::string& path) {
   return WriteCsvFile(db, path);
 }
 
-Status RunGen(const std::map<std::string, std::string>& flags) {
+Status RunGen(const Flags& flags) {
   const std::string kind = FlagOr(flags, "kind", "uniform");
-  const size_t n = std::stoul(FlagOr(flags, "n", "10000"));
-  const size_t m = std::stoul(FlagOr(flags, "m", "4"));
-  const uint64_t seed = std::stoull(FlagOr(flags, "seed", "42"));
+  const size_t n = SizeFlag(flags, "n", 10000);
+  const size_t m = SizeFlag(flags, "m", 4);
+  const uint64_t seed = U64Flag(flags, "seed", 42);
   const std::string out = FlagOr(flags, "out", "");
   if (out.empty()) {
     return Status::Invalid("gen requires --out FILE");
   }
   Database db;
-  if (kind == "uniform") {
-    db = MakeUniformDatabase(n, m, seed);
-  } else if (kind == "gaussian") {
-    db = MakeGaussianDatabase(n, m, seed);
+  if (kind == "uniform" || kind == "gaussian") {
+    // Rejected as the correlated generator rejects them.
+    if (n == 0 || m == 0) {
+      return Status::Invalid(kind, " database needs n > 0 and m > 0");
+    }
+    db = kind == "uniform" ? MakeUniformDatabase(n, m, seed)
+                           : MakeGaussianDatabase(n, m, seed);
   } else if (kind == "correlated") {
     CorrelatedConfig config;
     config.n = n;
     config.m = m;
-    config.alpha = std::stod(FlagOr(flags, "alpha", "0.01"));
-    config.zipf_theta = std::stod(FlagOr(flags, "theta", "0.7"));
+    config.alpha = DoubleFlag(flags, "alpha", 0.01);
+    config.zipf_theta = DoubleFlag(flags, "theta", 0.7);
     config.seed = seed;
     TOPK_ASSIGN_OR_RETURN(db, MakeCorrelatedDatabase(config));
   } else {
@@ -229,9 +303,9 @@ Status RunGen(const std::map<std::string, std::string>& flags) {
 // the dist_test replica suite — kill one replica of a group and watch the
 // failover ladder keep the answer exact, or kill the only replica and watch
 // the θ-certified degrade.
-Status RunDistQuery(const std::map<std::string, std::string>& flags,
-                    const Database& db, const Scorer& scorer, size_t k) {
-  const size_t replicas = std::stoul(flags.at("replicas"));
+Status RunDistQuery(const Flags& flags, const Database& db,
+                    const Scorer& scorer, size_t k) {
+  const size_t replicas = SizeFlag(flags, "replicas", 1);
   if (replicas < 1) {
     return Status::Invalid("--replicas must be >= 1; got ", replicas);
   }
@@ -244,17 +318,11 @@ Status RunDistQuery(const std::map<std::string, std::string>& flags,
   }
   InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
   TransportFaultPlan plan;
-  plan.seed = std::stoull(FlagOr(flags, "fault-seed", "1"));
-  const std::string kill = FlagOr(flags, "kill-replica", "");
-  if (!kill.empty()) {
-    const size_t colon = kill.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == kill.size()) {
-      return Status::Invalid("--kill-replica wants <list>:<replica>; got '",
-                             kill, "'");
-    }
-    const size_t list = std::stoul(kill.substr(0, colon));
-    const size_t replica = std::stoul(kill.substr(colon + 1));
+  plan.seed = U64Flag(flags, "fault-seed", 1);
+  if (flags.count("kill-replica")) {
+    size_t list = 0;
+    size_t replica = 0;
+    ParseListReplica(flags.at("kill-replica"), &list, &replica);  // checked
     if (list >= db.num_lists()) {
       return Status::Invalid("--kill-replica list ", list,
                              " exceeds the last list index ",
@@ -267,7 +335,7 @@ Status RunDistQuery(const std::map<std::string, std::string>& flags,
     }
     plan.kill_owners = {
         InProcessTransport::OwnerIndex(db.num_lists(), list, replica)};
-    plan.kill_after_messages = std::stoull(FlagOr(flags, "kill-after", "1"));
+    plan.kill_after_messages = U64Flag(flags, "kill-after", 1);
   }
   TOPK_RETURN_NOT_OK(plan.Validate(algo == "bpa" ? "DistBPA" : "DistTPUT",
                                    inner.num_owners()));
@@ -276,9 +344,8 @@ Status RunDistQuery(const std::map<std::string, std::string>& flags,
                                         : static_cast<Transport*>(&inner);
   DistOptions options;
   options.replication_factor = static_cast<uint32_t>(replicas);
-  options.governor.deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
-  options.governor.total_access_budget =
-      std::stoull(FlagOr(flags, "access-budget", "0"));
+  options.governor.deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
+  options.governor.total_access_budget = U64Flag(flags, "access-budget", 0);
   Coordinator coordinator(transport, options);
   TOPK_RETURN_NOT_OK(coordinator.Connect());
   const TopKQuery query{k, &scorer};
@@ -328,7 +395,7 @@ Status RunDistQuery(const std::map<std::string, std::string>& flags,
   return Status::OK();
 }
 
-Status RunQuery(const std::map<std::string, std::string>& flags) {
+Status RunQuery(const Flags& flags) {
   const std::string path = FlagOr(flags, "db", "");
   if (path.empty()) {
     return Status::Invalid("query requires --db FILE");
@@ -338,8 +405,7 @@ Status RunQuery(const std::map<std::string, std::string>& flags) {
     TOPK_ASSIGN_OR_RETURN(std::unique_ptr<Scorer> dist_scorer,
                           ParseScorer(FlagOr(flags, "scorer", "sum"),
                                       FlagOr(flags, "weights", "")));
-    return RunDistQuery(flags, db, *dist_scorer,
-                        std::stoul(FlagOr(flags, "k", "10")));
+    return RunDistQuery(flags, db, *dist_scorer, SizeFlag(flags, "k", 10));
   }
   TOPK_ASSIGN_OR_RETURN(AlgorithmKind algo,
                         ParseAlgo(FlagOr(flags, "algo", "bpa2")));
@@ -353,18 +419,16 @@ Status RunQuery(const std::map<std::string, std::string>& flags) {
   for (size_t i = 0; i < db.num_lists(); ++i) {
     options.score_floor = std::min(options.score_floor, db.list(i).MinScore());
   }
-  const size_t k = std::stoul(FlagOr(flags, "k", "10"));
-  options.governor.deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
-  options.governor.total_access_budget =
-      std::stoull(FlagOr(flags, "access-budget", "0"));
+  const size_t k = SizeFlag(flags, "k", 10);
+  options.governor.deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
+  options.governor.total_access_budget = U64Flag(flags, "access-budget", 0);
   // Seeded fault injection on the single-query path: a targeted kill makes a
   // degraded run (failover to NRA, θ-certified answer) reproducible from the
   // command line.
-  options.fault_plan.seed = std::stoull(FlagOr(flags, "fault-seed", "1"));
+  options.fault_plan.seed = U64Flag(flags, "fault-seed", 1);
   if (flags.count("kill-list")) {
-    options.fault_plan.kill_list = std::stoul(flags.at("kill-list"));
-    options.fault_plan.kill_after_accesses =
-        std::stoull(FlagOr(flags, "kill-after", "1"));
+    options.fault_plan.kill_list = SizeFlag(flags, "kill-list", 0);
+    options.fault_plan.kill_after_accesses = U64Flag(flags, "kill-after", 1);
   }
   auto algorithm = MakeAlgorithm(algo, options);
   TOPK_ASSIGN_OR_RETURN(TopKResult result,
@@ -400,7 +464,7 @@ Status RunQuery(const std::map<std::string, std::string>& flags) {
   return Status::OK();
 }
 
-Status RunCompare(const std::map<std::string, std::string>& flags) {
+Status RunCompare(const Flags& flags) {
   const std::string path = FlagOr(flags, "db", "");
   if (path.empty()) {
     return Status::Invalid("compare requires --db FILE");
@@ -409,7 +473,7 @@ Status RunCompare(const std::map<std::string, std::string>& flags) {
   TOPK_ASSIGN_OR_RETURN(
       std::unique_ptr<Scorer> scorer,
       ParseScorer(FlagOr(flags, "scorer", "sum"), FlagOr(flags, "weights", "")));
-  const size_t k = std::stoul(FlagOr(flags, "k", "10"));
+  const size_t k = SizeFlag(flags, "k", 10);
   AlgorithmOptions options;
   for (size_t i = 0; i < db.num_lists(); ++i) {
     options.score_floor = std::min(options.score_floor, db.list(i).MinScore());
@@ -443,7 +507,7 @@ Status RunCompare(const std::map<std::string, std::string>& flags) {
 // The point is exercising the real admission queue, worker pool and watchdog
 // from the command line, not benchmarking — bench_micro --serve-json is the
 // measured open-loop sweep.
-Status RunServe(const std::map<std::string, std::string>& flags) {
+Status RunServe(const Flags& flags) {
   const std::string path = FlagOr(flags, "db", "");
   if (path.empty()) {
     return Status::Invalid("serve requires --db FILE");
@@ -454,16 +518,15 @@ Status RunServe(const std::map<std::string, std::string>& flags) {
   TOPK_ASSIGN_OR_RETURN(
       std::unique_ptr<Scorer> scorer,
       ParseScorer(FlagOr(flags, "scorer", "sum"), FlagOr(flags, "weights", "")));
-  const size_t k = std::stoul(FlagOr(flags, "k", "10"));
-  const size_t requests = std::stoul(FlagOr(flags, "requests", "100"));
-  const double deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
+  const size_t k = SizeFlag(flags, "k", 10);
+  const size_t requests = SizeFlag(flags, "requests", 100);
+  const double deadline_ms = DoubleFlag(flags, "deadline-ms", 0.0);
   const std::string shed = FlagOr(flags, "shed", "reject");
 
   ServerOptions options;
-  options.num_threads = std::stoul(FlagOr(
-      flags, "threads",
-      std::to_string(std::max(1u, std::thread::hardware_concurrency()))));
-  options.queue_capacity = std::stoul(FlagOr(flags, "queue", "256"));
+  options.num_threads = SizeFlag(
+      flags, "threads", std::max(1u, std::thread::hardware_concurrency()));
+  options.queue_capacity = SizeFlag(flags, "queue", 256);
   if (shed == "reject") {
     options.shed_policy = ShedPolicy::kReject;
   } else if (shed == "degrade") {
@@ -519,7 +582,7 @@ Status RunServe(const std::map<std::string, std::string>& flags) {
 
 int Main(int argc, char** argv) {
   std::string command;
-  std::map<std::string, std::string> flags;
+  Flags flags;
   if (!ParseArgs(argc, argv, &command, &flags)) {
     return Usage();
   }
@@ -541,10 +604,6 @@ int Main(int argc, char** argv) {
     // than the process can get; no flag was malformed.
     std::cerr << "error: out of memory\n";
     return 1;
-  } catch (const std::exception& e) {
-    // Numeric flag parsing (std::stoul/stod) throws on malformed input.
-    std::cerr << "error: bad flag value (" << e.what() << ")\n";
-    return 2;
   }
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << "\n";
