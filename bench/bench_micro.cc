@@ -1060,12 +1060,17 @@ int RunServeMode(const ThroughputConfig& config) {
 
 // One distributed execution over `replicas` in-process ListOwners per list,
 // optionally behind a FaultInjectingTransport. Returns false only on a
-// non-degradable error (validation; the fault paths always answer).
+// non-degradable error (validation, the fault plan's included; the fault
+// paths always answer).
 bool RunDistQuery(const Database& db, bool bpa, size_t k, size_t replicas,
                   const TransportFaultPlan* plan, double deadline_ms,
                   TopKResult* result, DistStats* stats,
                   TransportFaultStats* fault_stats) {
   InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
+  if (plan != nullptr &&
+      !plan->Validate(bpa ? "DistBPA" : "DistTPUT", inner.num_owners()).ok()) {
+    return false;
+  }
   FaultInjectingTransport faulty(&inner,
                                  plan != nullptr ? *plan
                                                  : TransportFaultPlan{});

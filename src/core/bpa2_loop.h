@@ -91,9 +91,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
         for (size_t j = 0; j < m; ++j) {
           if (j != i && !io.RandomAlive(j)) {
             io.Flush();
-            return Status::Unavailable(
-                "BPA2: list ", j,
-                " died permanently; random access is unavailable");
+            return context->LoseList(j, "random access is unavailable");
           }
         }
       }

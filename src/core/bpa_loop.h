@@ -186,9 +186,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
         for (size_t j = 0; j < m; ++j) {
           if (j != i && !io.RandomAlive(j)) {
             io.Flush();
-            return Status::Unavailable(
-                kTa ? "TA" : "BPA", ": list ", j,
-                " died permanently; random access is unavailable");
+            return context->LoseList(j, "random access is unavailable");
           }
         }
       }

@@ -205,6 +205,9 @@ class CandidatePool {
   /// candidate's mask, so it is deregistered from its group; the caller must
   /// publish the updated bound with OfferLower once the burst of SetSeen
   /// calls for this candidate is done (re-grouping it under the new mask).
+  /// Under GroupIndex::kNone nothing is grouped, so a caller may defer that
+  /// publication until before it next reads the heap (TPUT offers every
+  /// candidate once per phase).
   bool SetSeen(uint32_t slot, size_t list_index, Score score) {
     assert(slot < size_ && list_index < m_);
     Slot& record = slots_[slot];
@@ -240,6 +243,13 @@ class CandidatePool {
   /// member if the new bound beats it, no-op otherwise. The candidate ends up
   /// either in the heap or registered in the group of its current mask, and a
   /// member it displaces moves from the heap into its own mask's group.
+  /// Because bounds only grow, the heap holds the k strongest published
+  /// (lower bound, item id) keys whatever the order and timing of the
+  /// offers: under GroupIndex::kNone a caller may record many rows and then
+  /// offer every candidate's bound in one sweep before it reads the heap, and
+  /// the heap (KthLower, KthItem, AppendHeapItems) is the one that an offer
+  /// after every row would leave. Re-offering an unchanged bound changes
+  /// nothing.
   void OfferLower(uint32_t slot, Score lower);
 
   /// Number of heap members (<= k).

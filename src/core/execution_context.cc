@@ -17,6 +17,10 @@ void NextEpoch(std::vector<uint32_t>* stamps, uint32_t* epoch) {
   }
 }
 
+// LoseList's signal, built before any query runs: every copy shares this
+// payload, so signalling a lost list allocates nothing.
+const Status kListLost(StatusCode::kUnavailable, "a list died permanently");
+
 }  // namespace
 
 void ScoreMemo::Reset(size_t n) {
@@ -32,6 +36,17 @@ void ScoreMemo::BeginSpan() {
     span_stamps_.resize(stamps_.size(), span_epoch_);  // stale, as in Reset
   }
   NextEpoch(&span_stamps_, &span_epoch_);
+}
+
+Status ExecutionContext::LoseList(size_t list, const char* reason) {
+  lost_list_ = list;
+  lost_reason_ = reason;
+  return kListLost;
+}
+
+Status ExecutionContext::LostListStatus(const char* engine) const {
+  return Status::Unavailable(engine, ": list ", lost_list_,
+                             " died permanently; ", lost_reason_);
 }
 
 void ExecutionContext::Prepare(const Database& db, bool audit, size_t k) {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/status.h"
 #include "core/candidate_pool.h"
 #include "core/query_governor.h"
 #include "core/topk_buffer.h"
@@ -120,6 +121,18 @@ class ExecutionContext {
   /// NRA failover so dead lists stay dead and the schedule continues.
   FaultInjectingAccessEngine& faults() { return faults_; }
 
+  /// The random-access loops' failover signal (FA, TA, BPA, BPA2, TPUT):
+  /// records that `list` died permanently and what the loop lost with it
+  /// (`reason`, a string literal), and returns a prebuilt Unavailable status
+  /// whose copy allocates nothing. ExecuteInto and the Coordinator discard
+  /// it when NRA takes over.
+  Status LoseList(size_t list, const char* reason);
+
+  /// The last LoseList as a named status, "<engine>: list <j> died
+  /// permanently; <reason>", for a caller that returns it instead of
+  /// failing over (NRA serves at most CandidatePool::kMaxLists lists).
+  Status LostListStatus(const char* engine) const;
+
   // --- per-list score scratch, sized m and zero-filled by Prepare ---
 
   std::vector<Score>& local_scores() { return local_scores_; }
@@ -220,6 +233,8 @@ class ExecutionContext {
   std::vector<Score> local_scores_;
   std::vector<Score> last_scores_;
   std::vector<Score> bound_scores_;
+  size_t lost_list_ = 0;             // the last LoseList
+  const char* lost_reason_ = "";
 
   // Bit-array trackers live contiguously (fast path); other kinds go through
   // the polymorphic pool. Each pool remembers the list size it was built for.

@@ -156,9 +156,7 @@ Status RunFaLoop(const TopKQuery& query, ExecutionContext* context, IoT io,
       for (size_t i = 0; i < m; ++i) {
         if (!known[static_cast<size_t>(item) * m + i] && !io.RandomAlive(i)) {
           io.Flush();
-          return Status::Unavailable(
-              "FA: list ", i,
-              " died permanently; random access is unavailable");
+          return context->LoseList(i, "random access is unavailable");
         }
       }
     }
@@ -188,9 +186,7 @@ Status RunFaLoop(const TopKQuery& query, ExecutionContext* context, IoT io,
           if (!known[static_cast<size_t>(item) * m + i] &&
               !io.RandomAlive(i)) {
             io.Flush();
-            return Status::Unavailable(
-                "FA: list ", i,
-                " died permanently; random access is unavailable");
+            return context->LoseList(i, "random access is unavailable");
           }
         }
       }

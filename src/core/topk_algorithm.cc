@@ -139,14 +139,17 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
   result->Clear();
   Timer timer;
   Status run_status = RunKind(kind_, options_, db, query, context, result);
-  if (run_status.IsUnavailable() && context->faults().armed() &&
-      ValidatePoolQuery("NRA", LocalIo(&db), options_.score_floor).ok()) {
-    // A random-access algorithm lost a list permanently mid-run. Fail over
-    // to NRA over the survivors: accesses already spent stay counted
-    // (carried across the engine reset; the NRA run's policy counts on from
-    // them), the fault schedule stays armed — dead lists stay dead and the
-    // deterministic schedule continues — and the governor keeps running
-    // down the same deadline and budgets.
+  if (run_status.IsUnavailable()) {
+    // A random-access algorithm lost a list permanently mid-run
+    // (ExecutionContext::LoseList). Fail over to NRA over the survivors:
+    // accesses already spent stay counted (carried across the engine reset;
+    // the NRA run's policy counts on from them), the fault schedule stays
+    // armed — dead lists stay dead and the deterministic schedule continues
+    // — and the governor keeps running down the same deadline and budgets.
+    // Where NRA cannot serve the database, the named loss is the answer.
+    if (!ValidatePoolQuery("NRA", LocalIo(&db), options_.score_floor).ok()) {
+      return context->LostListStatus(name.c_str());
+    }
     const AccessStats spent = context->engine().stats();
     context->Prepare(db, /*audit=*/false, query.k);
     context->engine().set_stats(spent);

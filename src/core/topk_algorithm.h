@@ -146,9 +146,8 @@ class TopKAlgorithm final {
 
   /// Lowest-level entry point: like Execute, but writes into a caller-owned
   /// result whose capacity is reused. With a warmed-up context and result,
-  /// a query performs zero heap allocations end to end — except a fault
-  /// failover: a random-access algorithm that loses a list builds the
-  /// Unavailable status it then discards for the NRA run (3 allocations).
+  /// a query performs zero heap allocations end to end, a fault failover to
+  /// NRA included.
   Status ExecuteInto(const Database& db, const TopKQuery& query,
                      ExecutionContext* context, TopKResult* result) const;
 

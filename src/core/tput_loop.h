@@ -61,14 +61,19 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   const size_t n = io.num_items();
   const size_t m = io.num_lists();
 
-  // Lower bounds (partial sums with floor-filled gaps) feed the pool's
-  // threshold heap, whose k-th entry is exactly τ1/τ2 — no comparator set is
-  // rebuilt between phases.
+  // Phases 1 and 2 only record rows. TPUT reads the k-th best lower bound
+  // (partial sums with floor-filled gaps) only at a phase end — τ1, τ2 — or
+  // at an anytime exit, so `publish` offers every candidate's bound to the
+  // pool's threshold heap then, in one sweep. Bounds only grow, so the heap
+  // ends up holding the same k strongest (lower bound, item id) keys that an
+  // offer after every row would leave: the same τ1, τ2 and certificates.
   CandidatePool& pool = context->PreparePool(n, m, query.k, options.score_floor,
                                              GroupIndex::kNone);
   const auto record = [&](size_t list_index, const AccessedEntry& entry) {
-    const uint32_t slot = pool.FindOrInsert(entry.item);
-    if (pool.SetSeen(slot, list_index, entry.score)) {
+    pool.SetSeen(pool.FindOrInsert(entry.item), list_index, entry.score);
+  };
+  const auto publish = [&]() {
+    for (uint32_t slot = 0; slot < pool.size(); ++slot) {
       Score sum = 0.0;
       const Score* row = pool.row(slot);
       for (size_t i = 0; i < m; ++i) {
@@ -90,11 +95,13 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   Position depth = std::min<Position>(static_cast<Position>(query.k),
                                       static_cast<Position>(n));
 
-  // Anytime exit (deadline/budget trips): the threshold heap's lower bounds
-  // are the best certified answer; the unseen-item bound is the cursor-score
-  // sum. TPUT is summation-only, so SumUpperBound is the one arithmetic.
+  // Anytime exit (deadline/budget trips): the threshold heap's lower bounds,
+  // published first, are the best certified answer; the unseen-item bound is
+  // the cursor-score sum. TPUT is summation-only, so SumUpperBound is the one
+  // arithmetic.
   const auto anytime = [&](Completion why) -> Status {
     io.Flush();
+    publish();
     std::vector<ItemId>& winners = context->ClearedItems();
     pool.AppendHeapItems(&winners);
     const SumScorer sum;
@@ -111,10 +118,8 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
     for (size_t i = 0; i < m; ++i) {
       if (!io.SortedAlive(i)) {
         io.Flush();
-        return Status::Unavailable(
-            "TPUT: list ", i,
-            " died permanently; the τ1/m drain guarantee no longer covers "
-            "its unseen entries");
+        return context->LoseList(
+            i, "the τ1/m drain guarantee no longer covers its unseen entries");
       }
     }
     return Status::OK();
@@ -154,7 +159,8 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
     return anytime(reason);
   }
   // Phase 1 sees >= k distinct items (k rows of one list are distinct), so
-  // the heap is full and its weakest entry is τ1.
+  // the published heap is full and its weakest entry is τ1.
+  publish();
   const Score tau1 = pool.KthLower();
 
   // ---- Phase 2: drain every list down to local score >= τ1/m. ----
@@ -195,6 +201,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
                                 io.VirtualLatencyMs())) != Completion::kExact) {
     return anytime(reason);
   }
+  publish();
   const Score tau2 = pool.KthLower();
 
   // ---- Phase 3: resolve survivors exactly. ----
@@ -245,9 +252,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
       for (size_t i = 0; i < m; ++i) {
         if (!(mask >> i & 1) && !io.RandomAlive(i)) {
           io.Flush();
-          return Status::Unavailable(
-              "TPUT: list ", i,
-              " died permanently; random access is unavailable");
+          return context->LoseList(i, "random access is unavailable");
         }
       }
     }
@@ -257,7 +262,8 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
     }
     buffer.Offer(item, sum);
     // Governance across the survivor resolutions (their count is unbounded
-    // by k); the heap's lower bounds stay the certified anytime answer.
+    // by k); the heap's lower bounds stay the certified anytime answer (its
+    // publish finds every bound unchanged).
     if ((++resolved & 31u) == 0 &&
         (reason = governor.Charge(io.stats(), pool.LiveCandidateBytes(),
                                   io.VirtualLatencyMs())) !=

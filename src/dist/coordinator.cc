@@ -84,6 +84,32 @@ const char* MessageName(MessageType type) {
   return "unknown";
 }
 
+// The engine loops, one out-of-line function each, so that each hot loop is
+// compiled, register-allocated and laid out alone, as its local twin is in
+// topk_algorithm.cc, and not inside Execute's frame around the other
+// engine's loop and the validation and failover code. The NRA failover gets
+// its own for symmetry.
+[[gnu::noinline]] Status RunDistBpa(const AlgorithmOptions& options,
+                                    const TopKQuery& query,
+                                    ExecutionContext* context, RemoteIo io,
+                                    TopKResult* result) {
+  return DispatchBpa(options, query, context, io, result);
+}
+
+[[gnu::noinline]] Status RunDistTput(const AlgorithmOptions& options,
+                                     const TopKQuery& query,
+                                     ExecutionContext* context, RemoteIo io,
+                                     TopKResult* result) {
+  return RunTputLoop(options, query, context, io, result);
+}
+
+[[gnu::noinline]] Status RunDistNra(const AlgorithmOptions& options,
+                                    const TopKQuery& query,
+                                    ExecutionContext* context, RemoteIo io,
+                                    TopKResult* result) {
+  return DispatchNra(options, query, context, io, result);
+}
+
 }  // namespace
 
 Status DistOptions::Validate(const char* algorithm, size_t num_owners) const {
@@ -685,18 +711,21 @@ Result<TopKResult> Coordinator::Execute(const char* algorithm,
   BeginQuery(query.k, /*bpa=*/!tput);
   TopKResult result;
   Status status =
-      tput ? RunTputLoop(core_options_, query, &context_, io, &result)
-           : DispatchBpa(core_options_, query, &context_, io, &result);
-  if (status.IsUnavailable() && reads_->error.ok() &&
-      num_lists() <= CandidatePool::kMaxLists) {
-    // A replica group died and random access to its list is gone. Fail over
-    // to NRA over the survivors, as ExecuteInto does: logical accesses stay
-    // counted, dead groups stay dead, buffered windows stay valid (owners
-    // serve immutable lists) and the governor keeps its deadline and
-    // budgets.
+      tput ? RunDistTput(core_options_, query, &context_, io, &result)
+           : RunDistBpa(core_options_, query, &context_, io, &result);
+  if (status.IsUnavailable() && reads_->error.ok()) {
+    // A replica group died and random access to its list is gone
+    // (ExecutionContext::LoseList). Fail over to NRA over the survivors, as
+    // ExecuteInto does: logical accesses stay counted, dead groups stay
+    // dead, buffered windows stay valid (owners serve immutable lists) and
+    // the governor keeps its deadline and budgets. Past the pool's mask
+    // word NRA cannot serve, and the named loss is the answer.
+    if (num_lists() > CandidatePool::kMaxLists) {
+      return context_.LostListStatus(algorithm);
+    }
     context_.Prepare(num_lists(), query.k);
     result.Clear();
-    status = DispatchNra(core_options_, query, &context_, io, &result);
+    status = RunDistNra(core_options_, query, &context_, io, &result);
     result.failed_over = true;
   }
   // A malformed reply or a misread lookup: surface, never degrade.

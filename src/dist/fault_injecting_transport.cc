@@ -2,6 +2,8 @@
 
 #include "dist/fault_injecting_transport.h"
 
+#include <cassert>
+
 #include "common/macros.h"
 
 namespace topk {
@@ -64,6 +66,10 @@ Status TransportFaultPlan::Validate(const char* algorithm,
 FaultInjectingTransport::FaultInjectingTransport(
     Transport* inner, const TransportFaultPlan& plan)
     : inner_(inner), plan_(plan) {
+  // An unvalidated plan arms another schedule than the one it names: a
+  // kill_after_messages of 0 kills after the first message, and an
+  // out-of-range kill_owners entry kills nothing.
+  assert(plan.Validate("FaultInjectingTransport", inner->num_owners()).ok());
   schedule_.Arm(inner_->num_owners(),
                 {plan.seed, plan.owner_death_rate, plan.death_min_messages,
                  plan.death_max_messages, plan.kill_after_messages,

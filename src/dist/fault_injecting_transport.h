@@ -97,7 +97,9 @@ class FaultInjectingTransport : public Transport {
  public:
   /// Decorates `inner` (not owned; must outlive this transport) and arms the
   /// schedule once: per-owner counters reset, death points drawn from the
-  /// plan. Build a new transport for a fresh schedule.
+  /// plan. Build a new transport for a fresh schedule. The plan must pass
+  /// TransportFaultPlan::Validate for `inner`'s owners (asserted in debug
+  /// builds).
   FaultInjectingTransport(Transport* inner, const TransportFaultPlan& plan);
 
   size_t num_owners() const override { return inner_->num_owners(); }

@@ -514,6 +514,66 @@ TEST(CandidatePoolTest, NoGroupIndexModeNeverRegisters) {
   }
 }
 
+// TPUT records its rows with SetSeen alone and publishes every bound in one
+// sweep before it reads the heap (core/tput_loop.h). Bounds only grow, so
+// under kNone a sweep must leave the heap per-row offers leave: the same k
+// strongest (lower bound, item id) keys, hence the same answer order,
+// KthLower, KthItem and per-slot bounds. Scores on a quarter grid tie often,
+// so the item-id tie-break decides heap membership at every checkpoint.
+TEST(CandidatePoolTest, SweepPublicationMatchesPerRowOffers) {
+  Rng rng(25);
+  for (size_t k : {1, 10, 50}) {
+    for (int round = 0; round < 20; ++round) {
+      SCOPED_TRACE("k " + std::to_string(k) + " round " +
+                   std::to_string(round));
+      const size_t m = 1 + rng.NextBounded(6);
+      const size_t n = 20 + rng.NextBounded(400);
+      const Score floor = rng.NextBool() ? 0.0 : -1.0;
+      CandidatePool per_row;
+      CandidatePool swept;
+      per_row.Reset(n, m, k, floor, GroupIndex::kNone);
+      swept.Reset(n, m, k, floor, GroupIndex::kNone);
+      const auto row_sum = [m](const CandidatePool& pool, uint32_t slot) {
+        Score sum = 0.0;
+        for (size_t i = 0; i < m; ++i) {
+          sum += pool.row(slot)[i];
+        }
+        return sum;
+      };
+      const size_t ops = 4 * n;
+      for (size_t op = 0; op < ops; ++op) {
+        const ItemId item = static_cast<ItemId>(rng.NextBounded(n));
+        const size_t list = rng.NextBounded(m);
+        const Score score = floor + 0.25 * static_cast<Score>(rng.NextBounded(8));
+        const uint32_t slot = per_row.FindOrInsert(item);
+        if (per_row.SetSeen(slot, list, score)) {
+          per_row.OfferLower(slot, row_sum(per_row, slot));
+        }
+        swept.SetSeen(swept.FindOrInsert(item), list, score);
+        if (rng.NextBounded(64) != 0 && op + 1 < ops) {
+          continue;
+        }
+        for (uint32_t s = 0; s < swept.size(); ++s) {
+          swept.OfferLower(s, row_sum(swept, s));
+        }
+        ASSERT_EQ(swept.size(), per_row.size());
+        ASSERT_EQ(swept.heap_size(), per_row.heap_size());
+        std::vector<ItemId> want;
+        std::vector<ItemId> got;
+        per_row.AppendHeapItems(&want);
+        swept.AppendHeapItems(&got);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(swept.KthLower(), per_row.KthLower());
+        EXPECT_EQ(swept.KthItem(), per_row.KthItem());
+        for (uint32_t s = 0; s < swept.size(); ++s) {
+          ASSERT_EQ(swept.item_at(s), per_row.item_at(s));
+          EXPECT_EQ(swept.lower(s), per_row.lower(s));
+        }
+      }
+    }
+  }
+}
+
 // Runs a seeded stream of the run loops' pool operations (record a score and
 // publish the bound, erase a non-heap candidate) over items [0, n) and
 // fingerprints the final state: the answer, and every group's mask, member

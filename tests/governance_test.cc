@@ -478,6 +478,27 @@ struct FaultPin {
   bool failed_over;
 };
 
+// NRA's seen mask caps it at 64 lists, so past that a random-access
+// algorithm that loses a list cannot fail over: ExecuteInto returns the loss
+// it names from the loop's signal (ExecutionContext::LoseList).
+TEST(FaultInjectionTest, LostListPastTheMaskWordIsNamed) {
+  const Database db = MakeUniformDatabase(/*n=*/200, /*m=*/65, /*seed=*/9);
+  SumScorer scorer;
+  AlgorithmOptions options;
+  options.fault_plan.kill_list = 0;
+  options.fault_plan.kill_after_accesses = 1;
+  for (AlgorithmKind kind : {AlgorithmKind::kFa, AlgorithmKind::kTa,
+                             AlgorithmKind::kBpa, AlgorithmKind::kBpa2}) {
+    const Status status = MakeAlgorithm(kind, options)
+                              ->Execute(db, TopKQuery{5, &scorer})
+                              .status();
+    EXPECT_TRUE(status.IsUnavailable()) << ToString(kind);
+    EXPECT_EQ(status.message(),
+              ToString(kind) +
+                  ": list 0 died permanently; random access is unavailable");
+  }
+}
+
 TEST(FaultInjectionTest, FaultedOutcomesArePinned) {
   const Database db = MakeUniformDatabase(300, 4, /*seed=*/7);
   SumScorer scorer;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/execution_context.h"
@@ -138,6 +140,115 @@ TEST(TputTest, GovernedPhaseThreeResolvesSurvivorsInSlotOrder) {
   ASSERT_EQ(result.items.size(), query.k);
   EXPECT_EQ(result.Items(), first.Items());
   EXPECT_EQ(result.theta, first.theta);
+}
+
+// A governed run that trips in phase 1 or 2 certifies the threshold heap,
+// which the loop publishes in one sweep before it exits. The pins were
+// captured when every recorded row was offered to the heap at once, so they
+// hold the sweep to the per-row answer: items, certified scores, θ, both
+// certificate bounds, the stop position and the access counts.
+struct GovernedTputPin {
+  Completion completion;
+  Position stop_position;
+  uint64_t sorted_accesses;
+  double theta;
+  double kth_lower_bound;
+  double unreturned_upper_bound;
+  std::vector<ResultItem> items;
+};
+
+void ExpectGovernedTput(size_t n, size_t m, uint64_t seed, size_t k,
+                        const GovernorLimits& limits,
+                        const GovernedTputPin& pin) {
+  const Database db = MakeUniformDatabase(n, m, seed);
+  SumScorer sum;
+  AlgorithmOptions options;
+  options.governor = limits;
+  const TopKResult result = MakeAlgorithm(AlgorithmKind::kTput, options)
+                                ->Execute(db, TopKQuery{k, &sum})
+                                .ValueOrDie();
+  EXPECT_EQ(result.completion, pin.completion);
+  EXPECT_EQ(result.stop_position, pin.stop_position);
+  EXPECT_EQ(result.stats.sorted_accesses, pin.sorted_accesses);
+  EXPECT_EQ(result.stats.random_accesses, 0u);
+  EXPECT_EQ(result.stats.direct_accesses, 0u);
+  EXPECT_EQ(result.theta, pin.theta);
+  EXPECT_EQ(result.kth_lower_bound, pin.kth_lower_bound);
+  EXPECT_EQ(result.unreturned_upper_bound, pin.unreturned_upper_bound);
+  EXPECT_EQ(result.items, pin.items);
+}
+
+// sorted_access_budget <= k·m trips at phase 1's closing charge, before τ1.
+TEST(TputTest, GovernedPhaseOneTripIsPinned) {
+  GovernorLimits limits;
+  limits.sorted_access_budget = 60;
+  ExpectGovernedTput(
+      2000, 5, 3, 20, limits,
+      {Completion::kAccessBudget,
+       20,
+       100,
+       4.9687533169835643,
+       0.99871960640070467,
+       4.9623913570400209,
+       {{1190, 1.9943589561903541},  {935, 0.99999932257283852},
+        {768, 0.999969868548644},    {1313, 0.99987239097381786},
+        {1823, 0.99982055602599451}, {394, 0.99973467434335772},
+        {163, 0.99970840780441161},  {1043, 0.99967370348618745},
+        {350, 0.99936462595457221},  {1271, 0.99936230193611708},
+        {236, 0.9993269433559252},   {1547, 0.99928994967285767},
+        {476, 0.99928726355024522},  {1345, 0.99923447273974608},
+        {55, 0.99911980550474389},   {1000, 0.99904878083063531},
+        {421, 0.99888252652850895},  {1554, 0.99887401148239452},
+        {741, 0.99872197634572668},  {68, 0.99871960640070467}}});
+}
+
+// The drain of list 0 trips at its charge on row 768.
+TEST(TputTest, GovernedMidDrainTripIsPinned) {
+  GovernorLimits limits;
+  limits.sorted_access_budget = 600;
+  ExpectGovernedTput(
+      5000, 5, 7, 10, limits,
+      {Completion::kAccessBudget,
+       768,
+       808,
+       4.9926933225671606,
+       0.99995912922803132,
+       4.9924892673368646,
+       {{2751, 1.9887065913659776},
+        {4873, 1.9869535932168345},
+        {965, 1.9828170151873068},
+        {849, 1.9638391323400364},
+        {1260, 1.9576059130269987},
+        {318, 1.9487678276763334},
+        {2042, 1.9279323677622351},
+        {3148, 1.9078578043224819},
+        {413, 0.9999670459691371},
+        {3283, 0.99995912922803132}}});
+}
+
+// 20,000 bytes hold 250 candidates at m = 5; the pool outgrows them by the
+// drain's first charge, on row 256 of list 0.
+TEST(TputTest, GovernedPoolByteTripIsPinned) {
+  GovernorLimits limits;
+  limits.pool_byte_budget = 20000;
+  ExpectGovernedTput(
+      5000, 5, 7, 10, limits,
+      {Completion::kMemoryBudget,
+       256,
+       296,
+       4.9926587052048701,
+       0.99983366973015642,
+       4.9918282749351963,
+       {{2751, 1.9887065913659776},
+        {4873, 1.9869535932168345},
+        {965, 1.9828170151873068},
+        {849, 1.9638391323400364},
+        {1260, 1.9576059130269987},
+        {318, 1.9487678276763334},
+        {413, 0.9999670459691371},
+        {3283, 0.99995912922803132},
+        {3942, 0.99988559450212144},
+        {4482, 0.99983366973015642}}});
 }
 
 TEST(TputTest, WorksOnPaperFigure1) {
