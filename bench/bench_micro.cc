@@ -1,9 +1,9 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// google-benchmark micro-benchmarks for the library's building blocks:
-// best-position trackers (the Section 5.2 data-structure trade-off at the
-// operation level), B+tree inserts, sorted-list access primitives, the top-k
-// buffer, workload generators, and small end-to-end algorithm executions.
+// google-benchmark micro-benchmarks for the library's building blocks: the
+// bit-array best-position tracker (dense and sparse marks), sorted-list
+// access primitives, the top-k buffer, workload generators, and small
+// end-to-end algorithm executions.
 //
 // Besides the google-benchmark suite, `bench_micro --json[=path]` runs the
 // batch throughput benchmark and emits the measurements as JSON (default
@@ -102,15 +102,14 @@
 #include "dist/in_process_transport.h"
 #include "gen/database_generator.h"
 #include "lists/scorer.h"
-#include "tracker/best_position_tracker.h"
-#include "tracker/bplus_tree.h"
+#include "tracker/bitarray_tracker.h"
 
 namespace topk {
 namespace {
 
 // --- trackers ---
 
-void BM_TrackerMarkSeen(benchmark::State& state, TrackerKind kind) {
+void BM_BitArrayTracker(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(1);
   std::vector<Position> positions(n);
@@ -119,33 +118,21 @@ void BM_TrackerMarkSeen(benchmark::State& state, TrackerKind kind) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    auto tracker = MakeTracker(kind, n);
+    BitArrayTracker tracker(n);
     state.ResumeTiming();
     for (Position p : positions) {
-      tracker->MarkSeen(p);
+      tracker.MarkSeen(p);
     }
-    benchmark::DoNotOptimize(tracker->best_position());
+    benchmark::DoNotOptimize(tracker.best_position());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(positions.size()));
 }
-
-void BM_BitArrayTracker(benchmark::State& state) {
-  BM_TrackerMarkSeen(state, TrackerKind::kBitArray);
-}
-void BM_BPlusTreeTracker(benchmark::State& state) {
-  BM_TrackerMarkSeen(state, TrackerKind::kBPlusTree);
-}
-void BM_SortedSetTracker(benchmark::State& state) {
-  BM_TrackerMarkSeen(state, TrackerKind::kSortedSet);
-}
 BENCHMARK(BM_BitArrayTracker)->Arg(1 << 12)->Arg(1 << 16);
-BENCHMARK(BM_BPlusTreeTracker)->Arg(1 << 12)->Arg(1 << 16);
-BENCHMARK(BM_SortedSetTracker)->Arg(1 << 12)->Arg(1 << 16);
 
-// Sparse workload (few accesses over a huge list): the B+tree's O(log u)
-// regime vs. the bit array's O(n/u).
-void BM_TrackerSparse(benchmark::State& state, TrackerKind kind) {
+// Sparse workload (few accesses over a huge list): the bit array's O(n/u)
+// regime, where the paper's Section 5.2.2 B+tree would be O(log u).
+void BM_BitArraySparse(benchmark::State& state) {
   const size_t n = 10'000'000;
   const size_t u = static_cast<size_t>(state.range(0));
   Rng rng(2);
@@ -155,42 +142,15 @@ void BM_TrackerSparse(benchmark::State& state, TrackerKind kind) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    auto tracker = MakeTracker(kind, n);
+    BitArrayTracker tracker(n);
     state.ResumeTiming();
     for (Position p : positions) {
-      tracker->MarkSeen(p);
+      tracker.MarkSeen(p);
     }
-    benchmark::DoNotOptimize(tracker->best_position());
+    benchmark::DoNotOptimize(tracker.best_position());
   }
-}
-void BM_BitArraySparse(benchmark::State& state) {
-  BM_TrackerSparse(state, TrackerKind::kBitArray);
-}
-void BM_BPlusTreeSparse(benchmark::State& state) {
-  BM_TrackerSparse(state, TrackerKind::kBPlusTree);
 }
 BENCHMARK(BM_BitArraySparse)->Arg(1000);
-BENCHMARK(BM_BPlusTreeSparse)->Arg(1000);
-
-// --- B+tree ---
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(3);
-  std::vector<uint32_t> keys(n);
-  for (auto& k : keys) {
-    k = static_cast<uint32_t>(rng.NextBounded(n * 4));
-  }
-  for (auto _ : state) {
-    BPlusTree tree;
-    for (uint32_t k : keys) {
-      tree.Insert(k);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(1024)->Arg(65536);
 
 // --- list primitives (random access reads the Database's by-item mirror) ---
 

@@ -5,8 +5,8 @@
 // attributes" — here, movies rated on several criteria, each criterion
 // maintained as a sorted (indexed) list.
 //
-// Demonstrates: multiple scoring functions over the same database, the
-// tracker choice (Section 5.2), and per-query cost accounting.
+// Demonstrates: multiple scoring functions over the same database and
+// per-query cost accounting.
 //
 //   $ ./movie_ratings
 
@@ -63,18 +63,5 @@ int main() {
     std::cout << "\n";
   }
 
-  // Section 5.2 in practice: the best-position structure is pluggable.
-  TablePrinter trackers("BPA2 response time by best-position structure");
-  trackers.AddRow("tracker", "time (ms)", "accesses");
-  for (TrackerKind kind : {TrackerKind::kBitArray, TrackerKind::kBPlusTree,
-                           TrackerKind::kSortedSet}) {
-    AlgorithmOptions options;
-    options.tracker = kind;
-    auto bpa2 = MakeAlgorithm(AlgorithmKind::kBpa2, options);
-    const TopKResult r =
-        bpa2->Execute(db, TopKQuery{kTop, &overall}).ValueOrDie();
-    trackers.AddRow(ToString(kind), r.elapsed_ms, r.stats.TotalAccesses());
-  }
-  trackers.Print(std::cout);
   return 0;
 }

@@ -9,8 +9,8 @@
 // only keeps Y and the m best-position scores.
 //
 // The run loop is templated like BPA's (core/bpa_loop.h) on the access
-// policy, the concrete tracker and the concrete scorer: the default
-// configuration devirtualizes and inlines all per-access work.
+// policy and the concrete scorer: under summation all per-access work
+// inlines.
 // TopKAlgorithm (topk_algorithm.cc) instantiates it over the local policies.
 
 #ifndef TOPK_CORE_BPA2_LOOP_H_
@@ -29,7 +29,7 @@
 
 namespace topk {
 
-template <typename IoT, typename TrackerT, typename ScorerT>
+template <typename IoT, typename ScorerT>
 Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
                    ExecutionContext* context, IoT io, TopKResult* result) {
   const size_t n = io.num_items();
@@ -38,14 +38,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
 
   TopKBuffer& buffer = context->buffer();
   std::vector<Score>& local = context->local_scores();
-  BitArrayTracker* const bit_trackers = context->bitarray_trackers();
-  const auto tracker = [context, bit_trackers](size_t i) -> TrackerT& {
-    if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
-      return bit_trackers[i];  // contiguous, no pointer chase
-    } else {
-      return static_cast<TrackerT&>(context->tracker(i));
-    }
-  };
+  BitArrayTracker* const trackers = context->trackers();
 
   uint64_t rounds = 0;
   // λ cache: best positions only ever grow, so the bp sum is an exact
@@ -67,7 +60,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
     // bp jumps defeat the hardware stream prefetcher, so without this every
     // round serializes on m cold loads.
     for (size_t i = 0; i < m; ++i) {
-      const Position bp = tracker(i).best_position();
+      const Position bp = trackers[i].best_position();
       if (bp < n) {
         io.PrefetchEntry(i, bp + 1);
       }
@@ -81,7 +74,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
           continue;
         }
       }
-      const Position bp = tracker(i).best_position();
+      const Position bp = trackers[i].best_position();
       if (bp >= n) {
         continue;  // list fully seen
       }
@@ -99,7 +92,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
       // Request the revealed item's mirror row before the tracker walks its
       // seen bits: MarkSeen's best-position advance overlaps the row fetch.
       io.PrefetchRow(entry.item);
-      tracker(i).MarkSeen(entry.position);
+      trackers[i].MarkSeen(entry.position);
       any_access = true;
       Score overall;
       if constexpr (std::is_same_v<ScorerT, SumScorer>) {
@@ -112,7 +105,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
             continue;
           }
           const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
+          trackers[j].MarkSeen(lookup.position);
           overall += lookup.score;
         }
       } else {
@@ -122,7 +115,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
             continue;
           }
           const ItemLookup lookup = io.Random(j, entry.item);
-          tracker(j).MarkSeen(lookup.position);
+          trackers[j].MarkSeen(lookup.position);
           local[j] = lookup.score;
         }
         overall = scorer.Combine(local.data(), m);
@@ -134,7 +127,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
         // Exhaustion with a dead, not-fully-seen list means unseen data
         // remains: the answer is complete only over the survivors.
         for (size_t i = 0; i < m; ++i) {
-          if (!io.SortedAlive(i) && tracker(i).best_position() < n) {
+          if (!io.SortedAlive(i) && trackers[i].best_position() < n) {
             reason = Completion::kListFailure;
             break;
           }
@@ -147,19 +140,19 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
     // accesses (paper step 3), so no extra charged access is needed.
     uint64_t signature = 0;
     for (size_t i = 0; i < m; ++i) {
-      signature += tracker(i).best_position();
+      signature += trackers[i].best_position();
     }
     if (signature != bp_signature) {
       bp_signature = signature;
       for (size_t i = 0; i < m; ++i) {
-        local[i] = BestPositionScore(io, i, tracker(i).best_position());
+        local[i] = BestPositionScore(io, i, trackers[i].best_position());
       }
       lambda = scorer.Combine(local.data(), m);
     }
     if (options.collect_trace) {
       Position min_bp = static_cast<Position>(n);
       for (size_t i = 0; i < m; ++i) {
-        min_bp = std::min(min_bp, tracker(i).best_position());
+        min_bp = std::min(min_bp, trackers[i].best_position());
       }
       result->trace.push_back(StopRuleTrace{
           static_cast<Position>(rounds), lambda,
@@ -185,7 +178,7 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
   result->stop_position = static_cast<Position>(rounds);
   Position min_bp = static_cast<Position>(n);
   for (size_t i = 0; i < m; ++i) {
-    min_bp = std::min(min_bp, tracker(i).best_position());
+    min_bp = std::min(min_bp, trackers[i].best_position());
   }
   result->min_best_position = min_bp;
   if (reason != Completion::kExact) {
@@ -202,18 +195,11 @@ Status RunBpa2Loop(const AlgorithmOptions& options, const TopKQuery& query,
 template <typename IoT>
 Status DispatchBpa2(const AlgorithmOptions& options, const TopKQuery& query,
                     ExecutionContext* context, IoT io, TopKResult* result) {
-  context->PrepareTrackers(options.tracker, io.num_items(), io.num_lists());
-  const bool sum = dynamic_cast<const SumScorer*>(query.scorer) != nullptr;
-  if (options.tracker == TrackerKind::kBitArray) {
-    return sum ? RunBpa2Loop<IoT, BitArrayTracker, SumScorer>(
-                     options, query, context, io, result)
-               : RunBpa2Loop<IoT, BitArrayTracker, Scorer>(
-                     options, query, context, io, result);
+  context->PrepareTrackers(io.num_items(), io.num_lists());
+  if (dynamic_cast<const SumScorer*>(query.scorer) != nullptr) {
+    return RunBpa2Loop<IoT, SumScorer>(options, query, context, io, result);
   }
-  return sum ? RunBpa2Loop<IoT, BestPositionTracker, SumScorer>(
-                   options, query, context, io, result)
-             : RunBpa2Loop<IoT, BestPositionTracker, Scorer>(
-                   options, query, context, io, result);
+  return RunBpa2Loop<IoT, Scorer>(options, query, context, io, result);
 }
 
 }  // namespace topk

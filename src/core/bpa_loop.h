@@ -41,12 +41,10 @@ namespace topk {
 /// seen under sorted access where BPA's λ combines the best-position scores.
 struct NoTracker {};
 
-// The run loop is templated on the access policy, the concrete tracker and
-// the concrete scorer. Tracker and scorer classes are `final`, so for the
-// default configuration (raw list reads, bit-array tracker, summation
-// scoring) every per-access call devirtualizes and inlines down to a handful
-// of loads; the generic instantiations keep virtual dispatch for the other
-// configurations.
+// The run loop is templated on the access policy, the tracker (the bit array,
+// or NoTracker for TA) and the concrete scorer. Scorer classes are `final`,
+// so under summation every per-access call inlines down to a handful of
+// loads; the generic scorer instantiation keeps virtual dispatch.
 template <typename IoT, typename TrackerT, typename ScorerT>
 Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
                   ExecutionContext* context, IoT io, TopKResult* result) {
@@ -71,15 +69,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // Overall scores already resolved; used only when memoization is on (the
   // paper's accounting model re-issues the random accesses, see Lemma 2).
   ScoreMemo* resolved = memoize ? &context->PrepareMemo(n) : nullptr;
-  BitArrayTracker* const bit_trackers = context->bitarray_trackers();
-  // Generic, so TA's loop never instantiates it.
-  const auto tracker = [context, bit_trackers](auto i) -> TrackerT& {
-    if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
-      return bit_trackers[i];  // contiguous, no pointer chase
-    } else {
-      return static_cast<TrackerT&>(context->tracker(i));
-    }
-  };
+  BitArrayTracker* const trackers = context->trackers();  // unused by TA
 
   Position depth = 0;
   bool stopped = false;
@@ -155,24 +145,24 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
           resolved->Prefetch(ahead);
         }
       }
-      // Second pipeline stage (bit-array fast path, DRAM-scale databases
-      // only): the mirror row two sorted rows ahead is cached by now, so
-      // its positions are readable at L1 cost — prefetch the tracker words
-      // the marks for that row will hit. Uncounted, decision-free reads:
-      // the access pattern and all counters are unchanged.
-      if constexpr (std::is_same_v<TrackerT, BitArrayTracker>) {
+      // Second pipeline stage (BPA on DRAM-scale databases only): the
+      // mirror row two sorted rows ahead is cached by now, so its positions
+      // are readable at L1 cost — prefetch the tracker words the marks for
+      // that row will hit. Uncounted, decision-free reads: the access
+      // pattern and all counters are unchanged.
+      if constexpr (!kTa) {
         if (prefetch_marks && depth + kPrefetchMarksAhead <= n) {
           const Position* positions =
               io.PositionsRow(io.PeekItem(i, depth + kPrefetchMarksAhead));
           for (size_t j = 0; j < m; ++j) {
-            bit_trackers[j].PrefetchMark(positions[j]);
+            trackers[j].PrefetchMark(positions[j]);
           }
         }
       }
       if constexpr (kTa) {
         last_scores[i] = entry.score;
       } else {
-        tracker(i).MarkSeen(entry.position);
+        trackers[i].MarkSeen(entry.position);
       }
       if (memoize && resolved->Contains(entry.item)) {
         // BPA recorded this item's positions in every list the first time it
@@ -199,7 +189,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
         if (j != i) {
           const ItemLookup lookup = io.Random(j, entry.item);
           if constexpr (!kTa) {
-            tracker(j).MarkSeen(lookup.position);
+            trackers[j].MarkSeen(lookup.position);
           }
           score = lookup.score;
         }
@@ -232,19 +222,19 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
     } else {
       uint64_t signature = 0;
       for (size_t i = 0; i < m; ++i) {
-        signature += tracker(i).best_position();
+        signature += trackers[i].best_position();
       }
       if (signature != bp_signature) {
         bp_signature = signature;
         for (size_t i = 0; i < m; ++i) {
-          local[i] = BestPositionScore(io, i, tracker(i).best_position());
+          local[i] = BestPositionScore(io, i, trackers[i].best_position());
         }
         threshold = scorer.Combine(local.data(), m);
       }
       if (options.collect_trace) {
         min_bp = static_cast<Position>(n);
         for (size_t i = 0; i < m; ++i) {
-          min_bp = std::min(min_bp, tracker(i).best_position());
+          min_bp = std::min(min_bp, trackers[i].best_position());
         }
       }
     }
@@ -275,7 +265,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   if constexpr (!kTa) {
     Position min_bp = static_cast<Position>(n);
     for (size_t i = 0; i < m; ++i) {
-      min_bp = std::min(min_bp, tracker(i).best_position());
+      min_bp = std::min(min_bp, trackers[i].best_position());
     }
     result->min_best_position = min_bp;
   }
@@ -295,18 +285,13 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
 template <typename IoT>
 Status DispatchBpa(const AlgorithmOptions& options, const TopKQuery& query,
                    ExecutionContext* context, IoT io, TopKResult* result) {
-  context->PrepareTrackers(options.tracker, io.num_items(), io.num_lists());
-  const bool sum = dynamic_cast<const SumScorer*>(query.scorer) != nullptr;
-  if (options.tracker == TrackerKind::kBitArray) {
-    return sum ? RunBpaLoop<IoT, BitArrayTracker, SumScorer>(
-                     options, query, context, io, result)
-               : RunBpaLoop<IoT, BitArrayTracker, Scorer>(options, query,
-                                                          context, io, result);
+  context->PrepareTrackers(io.num_items(), io.num_lists());
+  if (dynamic_cast<const SumScorer*>(query.scorer) != nullptr) {
+    return RunBpaLoop<IoT, BitArrayTracker, SumScorer>(options, query, context,
+                                                       io, result);
   }
-  return sum ? RunBpaLoop<IoT, BestPositionTracker, SumScorer>(
-                   options, query, context, io, result)
-             : RunBpaLoop<IoT, BestPositionTracker, Scorer>(
-                   options, query, context, io, result);
+  return RunBpaLoop<IoT, BitArrayTracker, Scorer>(options, query, context, io,
+                                                  result);
 }
 
 }  // namespace topk

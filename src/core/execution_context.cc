@@ -61,33 +61,17 @@ void ExecutionContext::Prepare(size_t m, size_t k) {
   bound_scores_.assign(m, 0.0);
 }
 
-void ExecutionContext::PrepareTrackers(TrackerKind kind, size_t n, size_t m) {
-  active_tracker_kind_ = kind;
-  if (kind == TrackerKind::kBitArray) {
-    if (n != bit_tracker_list_size_) {
-      bit_trackers_.clear();
-      bit_tracker_list_size_ = n;
-    }
-    const size_t reused = std::min(m, bit_trackers_.size());
-    for (size_t i = 0; i < reused; ++i) {
-      bit_trackers_[i].Reset();
-    }
-    while (bit_trackers_.size() < m) {
-      bit_trackers_.emplace_back(n);
-    }
-    return;
+void ExecutionContext::PrepareTrackers(size_t n, size_t m) {
+  if (n != tracker_list_size_) {
+    trackers_.clear();
+    tracker_list_size_ = n;
   }
-  if (kind != generic_tracker_kind_ || n != generic_tracker_list_size_) {
-    generic_trackers_.clear();
-    generic_tracker_kind_ = kind;
-    generic_tracker_list_size_ = n;
-  }
-  const size_t reused = std::min(m, generic_trackers_.size());
+  const size_t reused = std::min(m, trackers_.size());
   for (size_t i = 0; i < reused; ++i) {
-    generic_trackers_[i]->Reset();
+    trackers_[i].Reset();
   }
-  while (generic_trackers_.size() < m) {
-    generic_trackers_.push_back(MakeTracker(kind, n));
+  while (trackers_.size() < m) {
+    trackers_.emplace_back(n);
   }
 }
 

@@ -13,7 +13,6 @@
 #define TOPK_CORE_EXECUTION_CONTEXT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -24,7 +23,6 @@
 #include "lists/database.h"
 #include "lists/fault_injection.h"
 #include "lists/types.h"
-#include "tracker/best_position_tracker.h"
 #include "tracker/bitarray_tracker.h"
 
 namespace topk {
@@ -141,23 +139,14 @@ class ExecutionContext {
 
   // --- lazily prepared scratch ---
 
-  /// Ensures m reset trackers of `kind` for lists of n positions. Existing
-  /// trackers are reused via Reset() (O(1) for the bit array); instances are
-  /// only (re)created when the kind or list size changes.
-  void PrepareTrackers(TrackerKind kind, size_t n, size_t m);
+  /// Ensures m reset best-position trackers for lists of n positions.
+  /// Existing trackers are reused via Reset() (O(1)); they are only
+  /// (re)created when the list size changes.
+  void PrepareTrackers(size_t n, size_t m);
 
-  /// Tracker for list `i`; requires a preceding PrepareTrackers with m > i.
-  BestPositionTracker& tracker(size_t i) {
-    if (active_tracker_kind_ == TrackerKind::kBitArray) {
-      return bit_trackers_[i];
-    }
-    return *generic_trackers_[i];
-  }
-
-  /// Contiguous bit-array trackers — the devirtualized fast path of BPA/BPA2.
-  /// Valid after PrepareTrackers(TrackerKind::kBitArray, ...); indexing it
-  /// avoids the per-access pointer chase of the virtual tracker pool.
-  BitArrayTracker* bitarray_trackers() { return bit_trackers_.data(); }
+  /// The trackers of the last PrepareTrackers, contiguous: BPA/BPA2 index
+  /// them with no pointer chase.
+  BitArrayTracker* trackers() { return trackers_.data(); }
 
   /// The memo table for the memoize_seen_items ablation, reset for items
   /// 0..n-1.
@@ -236,14 +225,8 @@ class ExecutionContext {
   size_t lost_list_ = 0;             // the last LoseList
   const char* lost_reason_ = "";
 
-  // Bit-array trackers live contiguously (fast path); other kinds go through
-  // the polymorphic pool. Each pool remembers the list size it was built for.
-  std::vector<BitArrayTracker> bit_trackers_;
-  size_t bit_tracker_list_size_ = 0;
-  std::vector<std::unique_ptr<BestPositionTracker>> generic_trackers_;
-  TrackerKind generic_tracker_kind_ = TrackerKind::kSortedSet;
-  size_t generic_tracker_list_size_ = 0;
-  TrackerKind active_tracker_kind_ = TrackerKind::kBitArray;
+  std::vector<BitArrayTracker> trackers_;
+  size_t tracker_list_size_ = 0;  // the list size trackers_ were built for
 
   ScoreMemo memo_;
   CandidatePool pool_;

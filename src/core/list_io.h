@@ -4,23 +4,22 @@
 // loop reads its lists. Every loop touches lists only through its policy, so
 // one loop serves every backend. Two read paths exist:
 //
-//  * RawListIo is the one local read path, in three flavours. Sorted and
+//  * RawListIo is the one local read path, in two flavours. Sorted and
 //    direct reads go to the sorted arrays at the position the loop passes
 //    (the loops know their depth, so no cursor state is kept), random reads
 //    to the Database's item-major mirror, and every read is counted into a
 //    stack-resident AccessStats that is stored into the AccessEngine once at
 //    the end of the run. Keeping the per-access counter updates out of the
 //    shared engine object lets the optimizer keep them in registers.
-//      - RawListIo<> is the plain flavour: every fault-free, unaudited run
+//      - RawListIo is the plain flavour: every fault-free, unaudited run
 //        reads through it.
-//      - AuditIo (RawListIo<true>) also records each read's touch in the
-//        engine's audit trail (audit mode).
-//      - FaultIo is RawListIo<> that rolls the context's fault injector
-//        (lists/fault_injection.h) before each read. Its lists can die: it
+//      - FaultIo is RawListIo plus the test and ablation hooks: it rolls the
+//        context's fault injector (lists/fault_injection.h) before each read
+//        while the injector is armed, and records each read's touch in the
+//        engine's audit trail while the engine audits. Its lists can die: it
 //        reports kFaultAware = true, so the loops' aliveness guards compile
-//        in. On the other two flavours those guards are
-//        `if constexpr`-eliminated — fault-free instantiations keep
-//        byte-identical behaviour and codegen shape.
+//        in. On the plain flavour those guards are `if constexpr`-eliminated,
+//        and RawListIo carries no branch for either hook.
 //  * RemoteIo (dist/remote_io.h) reads from remote list owners through the
 //    distributed coordinator's RPC failover ladder. It is fault-aware too: a
 //    list dies with its whole replica group.
@@ -165,9 +164,7 @@ class LocalIo {
 };
 
 /// The local read path: direct list reads, registers-only counting, one
-/// store into the engine per run; with kAudit, each read's touch is also
-/// recorded in the engine's audit trail.
-template <bool kAudit = false>
+/// store into the engine per run.
 class RawListIo : public LocalIo {
  public:
   RawListIo(const Database* db, AccessEngine* engine)
@@ -181,9 +178,7 @@ class RawListIo : public LocalIo {
     ++stats_.random_accesses;
     // Item-major mirror: the (m-1) random accesses an algorithm issues for
     // one item hit the same one or two cache lines instead of m arrays.
-    const ItemLookup lookup = db_->Lookup(list_index, item);
-    Touch(list_index, lookup.position);
-    return lookup;
+    return db_->Lookup(list_index, item);
   }
   AccessedEntry Direct(size_t list_index, Position position) {
     ++stats_.direct_accesses;
@@ -193,49 +188,54 @@ class RawListIo : public LocalIo {
 
   const AccessStats& stats() const { return stats_; }
 
+ protected:
+  AccessEngine* engine_;
+
  private:
-  AccessedEntry EntryAt(size_t list_index, Position position) {
-    Touch(list_index, position);
+  AccessedEntry EntryAt(size_t list_index, Position position) const {
     const ListEntry entry = db_->list(list_index).EntryAt(position);
     return AccessedEntry{entry.item, entry.score, position};
   }
-  void Touch(size_t list_index, Position position) {
-    if constexpr (kAudit) {
-      engine_->RecordTouch(list_index, position);
-    }
-  }
 
-  AccessEngine* engine_;
   AccessStats stats_;
 };
 
-/// Audit mode's policy: the local read path plus the audit trail.
-using AuditIo = RawListIo<true>;
-
-/// Fault-aware policy: the local read path, rolling the fault injector (whose
-/// list deaths come from the shared FaultSchedule) before every read. A
-/// fault-aware loop reads each live list at the row after the last one it
-/// read, so the explicit positions read here are the ones a sorted cursor
-/// would serve. The loops must check SortedAlive/RandomAlive before every
-/// access — see the death contract in lists/fault_injection.h.
-class FaultIo : public RawListIo<> {
+/// Fault-aware policy, and the audited one: the local read path, rolling the
+/// fault injector (whose list deaths come from the shared FaultSchedule)
+/// before every read while it is armed, and recording every read's touch in
+/// the engine's audit trail while the engine audits. A run is audited or
+/// faulted, never both (TopKAlgorithm rejects the pair), and a disarmed
+/// injector reports every list alive and no latency, so an audited run reads
+/// what the plain one reads. A fault-aware loop reads each live list at the
+/// row after the last one it read, so the explicit positions read here are
+/// the ones a sorted cursor would serve. The loops must check
+/// SortedAlive/RandomAlive before every access — see the death contract in
+/// lists/fault_injection.h.
+class FaultIo : public RawListIo {
  public:
   static constexpr bool kFaultAware = true;
 
   FaultIo(const Database* db, AccessEngine* engine,
           FaultInjectingAccessEngine* faults)
-      : RawListIo(db, engine), faults_(faults) {}
+      : RawListIo(db, engine),
+        faults_(faults),
+        armed_(faults->armed()),
+        audit_(engine->auditing()) {}
 
   AccessedEntry Sorted(size_t list_index, Position position) {
-    faults_->Roll(list_index);
+    Roll(list_index);
+    Touch(list_index, position);
     return RawListIo::Sorted(list_index, position);
   }
   ItemLookup Random(size_t list_index, ItemId item) {
-    faults_->Roll(list_index);
-    return RawListIo::Random(list_index, item);
+    Roll(list_index);
+    const ItemLookup lookup = RawListIo::Random(list_index, item);
+    Touch(list_index, lookup.position);
+    return lookup;
   }
   AccessedEntry Direct(size_t list_index, Position position) {
-    faults_->Roll(list_index);
+    Roll(list_index);
+    Touch(list_index, position);
     return RawListIo::Direct(list_index, position);
   }
 
@@ -255,7 +255,20 @@ class FaultIo : public RawListIo<> {
   double VirtualLatencyMs() const { return faults_->virtual_latency_ms(); }
 
  private:
+  void Roll(size_t list_index) {
+    if (armed_) {
+      faults_->Roll(list_index);
+    }
+  }
+  void Touch(size_t list_index, Position position) {
+    if (audit_) {
+      engine_->RecordTouch(list_index, position);
+    }
+  }
+
   FaultInjectingAccessEngine* faults_;
+  bool armed_;
+  bool audit_;
 };
 
 /// si(bp), the score at list `list`'s best position `bp`: the term BPA's and
@@ -274,18 +287,15 @@ Score BestPositionScore(IoT& io, size_t list, Position bp) {
 }
 
 /// Runs `loop(io)` over the local policy a prepared context calls for:
-/// AuditIo when auditing, FaultIo when faults are armed, RawListIo<>
-/// otherwise.
+/// FaultIo when the engine audits or faults are armed, RawListIo otherwise.
 template <typename Loop>
-Status RunOnLocalIo(const Database& db, bool audit, ExecutionContext* context,
+Status RunOnLocalIo(const Database& db, ExecutionContext* context,
                     const Loop& loop) {
-  if (audit) {
-    return loop(AuditIo(&db, &context->engine()));
+  AccessEngine* engine = &context->engine();
+  if (engine->auditing() || context->faults().armed()) {
+    return loop(FaultIo(&db, engine, &context->faults()));
   }
-  if (context->faults().armed()) {
-    return loop(FaultIo(&db, &context->engine(), &context->faults()));
-  }
-  return loop(RawListIo<>(&db, &context->engine()));
+  return loop(RawListIo(&db, engine));
 }
 
 }  // namespace topk

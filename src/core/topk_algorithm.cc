@@ -54,21 +54,22 @@ Status ValidateKind(AlgorithmKind kind, const char* engine,
 }
 
 // Runs `kind`'s loop over the local policy the prepared context calls for.
-// Naive, the oracle, ignores fault plans: under FaultIo it scans the plain
-// local read path.
+// Naive, the oracle, ignores fault plans: under armed faults it scans the
+// plain local read path (an audited scan still records its touches).
 Status RunKind(AlgorithmKind kind, const AlgorithmOptions& options,
                const Database& db, const TopKQuery& query,
                ExecutionContext* context, TopKResult* result) {
-  return RunOnLocalIo(db, options.audit_accesses, context, [&](auto io) {
+  return RunOnLocalIo(db, context, [&](auto io) {
     using IoT = decltype(io);
     switch (kind) {
       case AlgorithmKind::kNaive:
         if constexpr (IoT::kFaultAware) {
-          return RunNaiveScan(query, context,
-                              RawListIo<>(&db, &context->engine()), result);
-        } else {
-          return RunNaiveScan(query, context, io, result);
+          if (context->faults().armed()) {
+            return RunNaiveScan(query, context,
+                                RawListIo(&db, &context->engine()), result);
+          }
         }
+        return RunNaiveScan(query, context, io, result);
       case AlgorithmKind::kFa:
         return RunFaLoop(query, context, io, result);
       case AlgorithmKind::kTa:
@@ -125,7 +126,8 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     return Status::Invalid(
         name,
         ": fault injection (fault_plan) cannot be combined with "
-        "audit_accesses; the audited read path rolls no fault schedule");
+        "audit_accesses; the audit certifies fault-free access patterns, and "
+        "a fault failover would restart its trail mid-query");
   }
   TOPK_RETURN_NOT_OK(ValidateKind(kind_, name.c_str(), options_, db, query));
 

@@ -20,16 +20,11 @@
 #include "lists/access_engine.h"
 #include "lists/database.h"
 #include "lists/fault_injection.h"
-#include "tracker/best_position_tracker.h"
 
 namespace topk {
 
 /// Knobs shared by all algorithms. Defaults reproduce the paper's setup.
 struct AlgorithmOptions {
-  /// Best-position management strategy for BPA/BPA2 (Section 5.2). The
-  /// evaluation's default is the bit array (Section 6.1).
-  TrackerKind tracker = TrackerKind::kBitArray;
-
   /// When false (paper-faithful, Lemma 2), TA and BPA issue (m-1) random
   /// accesses for *every* sorted access, even when the item was seen before.
   /// When true, random accesses for already-resolved items are skipped; the
@@ -87,9 +82,10 @@ struct AlgorithmOptions {
 
   /// Seeded deterministic fault schedule injected into the access layer
   /// (lists/fault_injection.h). Defaults inject nothing. Incompatible with
-  /// audit_accesses. When a list dies permanently, NRA/CA degrade to
-  /// bound-widened answers over the survivors and the random-access
-  /// algorithms (FA/TA/BPA/BPA2/TPUT) transparently fail over to an NRA run
+  /// audit_accesses (a failover would restart the audit trail mid-query).
+  /// When a list dies permanently, NRA/CA degrade to bound-widened answers
+  /// over the survivors and the random-access algorithms
+  /// (FA/TA/BPA/BPA2/TPUT) transparently fail over to an NRA run
   /// (TopKResult::failed_over). Naive ignores faults.
   FaultPlan fault_plan;
 };

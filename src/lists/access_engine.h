@@ -5,7 +5,8 @@
 // to verify access-pattern theorems (e.g. Theorem 5: BPA2 never accesses a
 // list position twice). It reads no list: the access policies of
 // core/list_io.h read, tally their counts in registers and store them here
-// once per run, and the auditing policy records each read's touch here.
+// once per run, and the audited policy (FaultIo) records each read's touch
+// here.
 
 #ifndef TOPK_LISTS_ACCESS_ENGINE_H_
 #define TOPK_LISTS_ACCESS_ENGINE_H_
@@ -46,6 +47,9 @@ class AccessEngine {
   void set_stats(const AccessStats& stats) { stats_ = stats; }
 
   // --- audit trail (enabled via Reset) ---
+
+  /// True when the last Reset enabled the audit trail.
+  bool auditing() const { return audit_; }
 
   /// Records one touch of position `pos` of list `list_index`. Requires
   /// audit mode.

@@ -8,7 +8,7 @@
 // schedule — transient errors (absorbed by bounded retry), latency spikes
 // (charged as virtual milliseconds against the governor's deadline), and
 // permanent per-list death. It reads no list: the FaultIo access policy
-// (core/list_io.h) rolls it before each read it serves.
+// (core/list_io.h) rolls it before each read it serves while it is armed.
 //
 // Determinism is the whole point: every fault decision is a pure hash of
 // (seed, unit, per-unit counter[, retry attempt]) through FaultDraw, so the
@@ -184,7 +184,8 @@ class FaultInjectingAccessEngine {
   void Arm(size_t m, const FaultPlan& plan);
 
   /// Disarms without touching retained storage; accessors keep working
-  /// (everything reports alive / zero faults).
+  /// (everything reports alive / zero faults, whatever the last armed run
+  /// injected).
   void Disarm() { armed_ = false; }
 
   bool armed() const { return armed_; }
@@ -200,9 +201,14 @@ class FaultInjectingAccessEngine {
   /// schedules the list's death *after* this access.
   void Roll(size_t list_index);
 
-  uint32_t dead_lists() const { return schedule_.deaths(); }
-  double virtual_latency_ms() const { return stats_.virtual_latency_ms; }
+  uint32_t dead_lists() const { return armed_ ? schedule_.deaths() : 0; }
+  double virtual_latency_ms() const {
+    return armed_ ? stats_.virtual_latency_ms : 0.0;
+  }
   FaultStats fault_stats() const {
+    if (!armed_) {
+      return FaultStats{};
+    }
     FaultStats stats = stats_;
     stats.dead_lists = schedule_.deaths();
     return stats;

@@ -1,9 +1,17 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
+// Best-position management (paper, Section 5.2). A tracker records which
+// positions of one sorted list have been seen (under any access mode) and
+// maintains the *best position*: the greatest position bp such that every
+// position in [1, bp] has been seen.
+//
 // Bit-array best-position management (paper, Section 5.2.1): an n-bit array of
 // seen flags plus a pointer `bp` that only ever moves forward. Advancing bp
 // costs O(n) over the whole query, i.e. O(n/u) amortized per access; space is
-// n bits plus a uint32_t epoch stamp per 64-bit word.
+// n bits plus a uint32_t epoch stamp per 64-bit word. It is the evaluation's
+// choice (Section 6.1) and the only tracker here; the Section 5.2.2 B+tree
+// (O(log u) amortized, O(u) space) measured slower on every warmed query
+// (README, "src/tracker").
 //
 // Two deviations from the textbook layout, both for the per-access constant:
 //  * Reset() is O(1). Instead of clearing n bits per query, every word
@@ -26,20 +34,21 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "tracker/best_position_tracker.h"
+#include "lists/types.h"
 
 namespace topk {
 
-class BitArrayTracker final : public BestPositionTracker {
+/// Tracks the seen positions of one list and exposes its best position.
+class BitArrayTracker {
  public:
   explicit BitArrayTracker(size_t list_size);
 
-  // MarkSeen/IsSeen are defined inline: the class is final and the BPA/BPA2
-  // hot loops are specialized on the concrete type, so the per-access calls
-  // devirtualize and inline down to a few word operations.
-  void MarkSeen(Position position) override {
+  /// Records `position` (1-based) as seen. Idempotent. Defined inline, like
+  /// IsSeen: the BPA/BPA2 hot loops inline it down to a few word operations.
+  void MarkSeen(Position position) {
     assert(position >= 1 && position <= list_size_);
     const size_t index = position - 1;
     Word& word = words_[index >> 6];
@@ -54,7 +63,9 @@ class BitArrayTracker final : public BestPositionTracker {
       AdvanceBestPosition();
     }
   }
-  Position best_position() const override { return best_position_; }
+  /// The greatest position bp such that all of [1, bp] are seen; 0 if
+  /// position 1 has not been seen yet.
+  Position best_position() const { return best_position_; }
 
   /// Cache hint that MarkSeen(position) is imminent (write intent, so the
   /// line arrives in exclusive state). The BPA loop reads the positions its
@@ -65,13 +76,14 @@ class BitArrayTracker final : public BestPositionTracker {
   void PrefetchMark(Position position) const {
     __builtin_prefetch(&words_[(position - 1) >> 6], /*rw=*/1);
   }
-  bool IsSeen(Position position) const override {
+  /// True iff `position` has been marked seen.
+  bool IsSeen(Position position) const {
     assert(position >= 1 && position <= list_size_);
     return TestBit(position - 1);
   }
   // Computed on demand (popcount over current-epoch words) so MarkSeen needs
   // no counter maintenance; callers are tests/ablations, never hot loops.
-  size_t seen_count() const override {
+  size_t seen_count() const {
     size_t count = 0;
     for (const Word& word : words_) {
       if (word.epoch == epoch_) {
@@ -80,8 +92,9 @@ class BitArrayTracker final : public BestPositionTracker {
     }
     return count;
   }
-  void Reset() override;
-  std::string name() const override { return "bit-array"; }
+  /// Forgets all seen positions.
+  void Reset();
+  std::string name() const { return "bit-array"; }
 
  private:
   /// 64 seen flags and their generation stamp, colocated in one 16-byte slot

@@ -33,7 +33,7 @@ AccessEngine ResetEngine(const Database& db, bool audit = false) {
 TEST(AccessEngineTest, SortedAccessWalksDescending) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db);
-  RawListIo<> io(&db, &engine);
+  RawListIo io(&db, &engine);
   const AccessedEntry e1 = io.Sorted(0, 1);
   EXPECT_EQ(e1.item, 0u);
   EXPECT_DOUBLE_EQ(e1.score, 4.0);
@@ -47,7 +47,7 @@ TEST(AccessEngineTest, SortedAccessWalksDescending) {
 TEST(AccessEngineTest, RandomAccessCountsAndReturns) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db);
-  RawListIo<> io(&db, &engine);
+  RawListIo io(&db, &engine);
   const ItemLookup lookup = io.Random(1, 0);
   EXPECT_DOUBLE_EQ(lookup.score, 1.0);
   EXPECT_EQ(lookup.position, 4u);
@@ -58,7 +58,7 @@ TEST(AccessEngineTest, RandomAccessCountsAndReturns) {
 TEST(AccessEngineTest, DirectAccessCountsAndReturns) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db);
-  RawListIo<> io(&db, &engine);
+  RawListIo io(&db, &engine);
   const AccessedEntry e = io.Direct(1, 2);
   EXPECT_EQ(e.item, 2u);
   EXPECT_DOUBLE_EQ(e.score, 3.0);
@@ -69,7 +69,8 @@ TEST(AccessEngineTest, DirectAccessCountsAndReturns) {
 TEST(AccessEngineTest, AuditCountsTouches) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db, /*audit=*/true);
-  AuditIo io(&db, &engine);
+  FaultInjectingAccessEngine faults;  // disarmed: the audited reads roll none
+  FaultIo io(&db, &engine, &faults);
   io.Sorted(0, 1);     // touches list 0 pos 1
   io.Direct(0, 1);     // touches list 0 pos 1 again
   io.Random(0, 0);     // item 0 is at pos 1 in list 0
@@ -82,7 +83,7 @@ TEST(AccessEngineTest, AuditCountsTouches) {
 TEST(AccessEngineTest, StatsAggregate) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db);
-  RawListIo<> io(&db, &engine);
+  RawListIo io(&db, &engine);
   io.Sorted(0, 1);
   io.Random(1, 2);
   io.Random(1, 3);
@@ -104,7 +105,7 @@ TEST(AccessEngineTest, PolicyCountsOnFromTheEngineTotal) {
   Database db = SmallDb();
   AccessEngine engine = ResetEngine(db);
   engine.set_stats(AccessStats{3, 2, 1});
-  RawListIo<> io(&db, &engine);
+  RawListIo io(&db, &engine);
   io.Sorted(0, 1);
   EXPECT_EQ(io.stats(), (AccessStats{4, 2, 1}));
   io.Flush();

@@ -131,34 +131,6 @@ TEST_P(InvariantsTest, FaStopsNoEarlierThanTa) {
   EXPECT_LE(ta.stop_position, fa.stop_position);
 }
 
-TEST_P(InvariantsTest, TrackerChoiceDoesNotChangeBpaSemantics) {
-  TopKResult reference = Run(AlgorithmKind::kBpa);
-  for (TrackerKind tracker :
-       {TrackerKind::kBPlusTree, TrackerKind::kSortedSet}) {
-    AlgorithmOptions options;
-    options.tracker = tracker;
-    const TopKResult result = Run(AlgorithmKind::kBpa, options);
-    EXPECT_EQ(result.stats, reference.stats) << ToString(tracker);
-    EXPECT_EQ(result.stop_position, reference.stop_position);
-    ASSERT_EQ(result.items.size(), reference.items.size());
-    for (size_t i = 0; i < result.items.size(); ++i) {
-      EXPECT_EQ(result.items[i].item, reference.items[i].item);
-    }
-  }
-}
-
-TEST_P(InvariantsTest, TrackerChoiceDoesNotChangeBpa2Semantics) {
-  TopKResult reference = Run(AlgorithmKind::kBpa2);
-  for (TrackerKind tracker :
-       {TrackerKind::kBPlusTree, TrackerKind::kSortedSet}) {
-    AlgorithmOptions options;
-    options.tracker = tracker;
-    const TopKResult result = Run(AlgorithmKind::kBpa2, options);
-    EXPECT_EQ(result.stats, reference.stats) << ToString(tracker);
-    EXPECT_EQ(result.stop_position, reference.stop_position);
-  }
-}
-
 TEST_P(InvariantsTest, MemoizationKeepsStopPositionLowersAccesses) {
   for (AlgorithmKind kind : {AlgorithmKind::kTa, AlgorithmKind::kBpa}) {
     AlgorithmOptions memo;

@@ -49,7 +49,7 @@ TEST(ExecutionContextTest, ReuseAcrossQueriesMatchesFreshContexts) {
   }
 }
 
-TEST(ExecutionContextTest, ReuseAcrossDatabasesAndTrackerKinds) {
+TEST(ExecutionContextTest, ReuseAcrossDatabasesAndScorers) {
   SumScorer sum;
   MinScorer min;
   ExecutionContext reused;
@@ -60,27 +60,21 @@ TEST(ExecutionContextTest, ReuseAcrossDatabasesAndTrackerKinds) {
   dbs.push_back(MakeUniformDatabase(50, 6, 1));
   dbs.push_back(MakeUniformDatabase(900, 2, 2));
   dbs.push_back(MakeUniformDatabase(300, 4, 3));
-  const TrackerKind tracker_kinds[] = {
-      TrackerKind::kBitArray, TrackerKind::kBPlusTree, TrackerKind::kSortedSet};
   for (int round = 0; round < 3; ++round) {
     for (const Database& db : dbs) {
-      for (TrackerKind tracker : tracker_kinds) {
-        AlgorithmOptions options;
-        options.tracker = tracker;
-        const size_t k = 1 + rng.NextBounded(db.num_items() / 2);
-        const Scorer* scorer = (round % 2 == 0)
-                                   ? static_cast<const Scorer*>(&sum)
-                                   : static_cast<const Scorer*>(&min);
-        const TopKQuery query{k, scorer};
-        for (AlgorithmKind kind :
-             {AlgorithmKind::kBpa, AlgorithmKind::kBpa2, AlgorithmKind::kTa}) {
-          auto algorithm = MakeAlgorithm(kind, options);
-          const TopKResult fresh = algorithm->Execute(db, query).ValueOrDie();
-          const TopKResult via_reuse =
-              algorithm->Execute(db, query, &reused).ValueOrDie();
-          ExpectSameExecution(fresh, via_reuse,
-                              ToString(kind) + " tracker " + ToString(tracker));
-        }
+      const size_t k = 1 + rng.NextBounded(db.num_items() / 2);
+      const Scorer* scorer = (round % 2 == 0)
+                                 ? static_cast<const Scorer*>(&sum)
+                                 : static_cast<const Scorer*>(&min);
+      const TopKQuery query{k, scorer};
+      for (AlgorithmKind kind :
+           {AlgorithmKind::kBpa, AlgorithmKind::kBpa2, AlgorithmKind::kTa}) {
+        auto algorithm = MakeAlgorithm(kind);
+        const TopKResult fresh = algorithm->Execute(db, query).ValueOrDie();
+        const TopKResult via_reuse =
+            algorithm->Execute(db, query, &reused).ValueOrDie();
+        ExpectSameExecution(fresh, via_reuse,
+                            ToString(kind) + " round " + std::to_string(round));
       }
     }
   }

@@ -633,6 +633,79 @@ TEST(FaultInjectionTest, ListKilledBeforeItsFirstReadKeepsBoundsSound) {
   }
 }
 
+// The faulted run both tests below start from: list 1 dies after five
+// accesses (BPA fails over to NRA) and half the accesses spike.
+AlgorithmOptions SpikedKillOptions(const Database& db) {
+  AlgorithmOptions options;
+  options.score_floor = DeriveScoreFloor(db);
+  options.fault_plan.kill_list = 1;
+  options.fault_plan.kill_after_accesses = 5;
+  options.fault_plan.spike_rate = 0.5;
+  return options;
+}
+
+// Disarm() keeps the last armed run's schedule in storage, but a disarmed
+// injector reports what one never armed reports: every list alive, no dead
+// list, no latency, no fault.
+TEST(FaultInjectionTest, DisarmedInjectorReportsNoFaults) {
+  const Database db = MakeDb();
+  SumScorer scorer;
+  const TopKQuery query{kK, &scorer};
+  ExecutionContext context;
+  MustRun(AlgorithmKind::kBpa, SpikedKillOptions(db), db, query, &context);
+  const FaultInjectingAccessEngine& faults = context.faults();
+  ASSERT_EQ(faults.dead_lists(), 1u);
+  ASSERT_GT(faults.virtual_latency_ms(), 0.0);
+  MustRun(AlgorithmKind::kBpa, AlgorithmOptions{}, db, query, &context);
+  ASSERT_FALSE(faults.armed());
+  EXPECT_TRUE(faults.ListAlive(1));
+  EXPECT_EQ(faults.dead_lists(), 0u);
+  EXPECT_EQ(faults.virtual_latency_ms(), 0.0);
+  const FaultStats stats = faults.fault_stats();
+  EXPECT_EQ(stats.transient_faults, 0u);
+  EXPECT_EQ(stats.exhausted_retries, 0u);
+  EXPECT_EQ(stats.latency_spikes, 0u);
+  EXPECT_EQ(stats.virtual_latency_ms, 0.0);
+  EXPECT_EQ(stats.dead_lists, 0u);
+}
+
+// An audited run reads through the fault-aware policy with nothing armed. On
+// a context whose last run was spiked and killed, the audited BPA and BPA2
+// runs and a plain run after them must each equal a fresh context's run:
+// the stale dead list and virtual latency (over the audited runs' 20-ms
+// deadline) must not leak into them.
+TEST(FaultInjectionTest, AuditedRunsAfterAFaultedRunMatchFreshContexts) {
+  const Database db = MakeDb();
+  SumScorer scorer;
+  const TopKQuery query{kK, &scorer};
+  const auto expect_fresh = [&](AlgorithmKind kind,
+                                const AlgorithmOptions& options,
+                                ExecutionContext* context) {
+    SCOPED_TRACE(ToString(kind));
+    const TopKResult reused = MustRun(kind, options, db, query, context);
+    ExecutionContext fresh_context;
+    const TopKResult fresh = MustRun(kind, options, db, query, &fresh_context);
+    ExpectSameOutcome(fresh, reused);
+    EXPECT_EQ(fresh.max_touches_per_list, reused.max_touches_per_list);
+    return reused;
+  };
+  ExecutionContext context;
+  const TopKResult faulted =
+      expect_fresh(AlgorithmKind::kBpa, SpikedKillOptions(db), &context);
+  EXPECT_TRUE(faulted.failed_over);
+  ASSERT_GT(context.faults().virtual_latency_ms(), 20.0);
+
+  AlgorithmOptions audited;
+  audited.audit_accesses = true;
+  audited.governor.deadline_ms = 20.0;
+  for (AlgorithmKind kind : {AlgorithmKind::kBpa, AlgorithmKind::kBpa2}) {
+    const TopKResult result = expect_fresh(kind, audited, &context);
+    EXPECT_EQ(result.completion, Completion::kExact);
+    EXPECT_EQ(result.max_touches_per_list.size(), kM);
+  }
+  expect_fresh(AlgorithmKind::kBpa, AlgorithmOptions{}, &context);
+}
+
 TEST(FaultInjectionTest, FaultPlanIsIncompatibleWithAccessAuditing) {
   const Database db = MakeDb();
   SumScorer scorer;

@@ -1,19 +1,15 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// Property tests: every tracker implementation must agree with a straightfor-
-// ward reference model on arbitrary access streams, and the B+tree tracker's
-// underlying tree must keep its structural invariants throughout.
+// Property tests: the bit-array tracker must agree with a straightforward
+// reference model on arbitrary access streams, and a Reset() tracker must
+// behave as a fresh one.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "tracker/best_position_tracker.h"
-#include "tracker/bplus_tree_tracker.h"
+#include "tracker/bitarray_tracker.h"
 
 namespace topk {
 namespace {
@@ -47,148 +43,106 @@ class ReferenceModel {
   std::vector<bool> seen_;
 };
 
-class TrackerPropertyTest : public ::testing::TestWithParam<TrackerKind> {};
-
-TEST_P(TrackerPropertyTest, NameMatchesKind) {
-  auto tracker = MakeTracker(GetParam(), 4);
-  EXPECT_EQ(tracker->name(), ToString(GetParam()));
-}
-
-TEST_P(TrackerPropertyTest, AgreesWithModelOnRandomStreams) {
+TEST(TrackerPropertyTest, AgreesWithModelOnRandomStreams) {
   Rng rng(777);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 1 + rng.NextBounded(300);
-    auto tracker = MakeTracker(GetParam(), n);
+    BitArrayTracker tracker(n);
     ReferenceModel model(n);
     const int accesses = 1 + static_cast<int>(rng.NextBounded(3 * n));
     for (int a = 0; a < accesses; ++a) {
       const Position p = static_cast<Position>(1 + rng.NextBounded(n));
-      tracker->MarkSeen(p);
+      tracker.MarkSeen(p);
       model.MarkSeen(p);
-      ASSERT_EQ(tracker->best_position(), model.best_position())
+      ASSERT_EQ(tracker.best_position(), model.best_position())
           << "trial " << trial << " after marking " << p;
-      ASSERT_EQ(tracker->seen_count(), model.seen_count());
+      ASSERT_EQ(tracker.seen_count(), model.seen_count());
     }
     for (Position p = 1; p <= n; ++p) {
-      ASSERT_EQ(tracker->IsSeen(p), model.IsSeen(p)) << "position " << p;
+      ASSERT_EQ(tracker.IsSeen(p), model.IsSeen(p)) << "position " << p;
     }
   }
 }
 
-TEST_P(TrackerPropertyTest, SortedScanReachesEveryPrefix) {
+TEST(TrackerPropertyTest, SortedScanReachesEveryPrefix) {
   const size_t n = 128;
-  auto tracker = MakeTracker(GetParam(), n);
+  BitArrayTracker tracker(n);
   for (Position p = 1; p <= n; ++p) {
-    tracker->MarkSeen(p);
-    ASSERT_EQ(tracker->best_position(), p);
+    tracker.MarkSeen(p);
+    ASSERT_EQ(tracker.best_position(), p);
   }
 }
 
-TEST_P(TrackerPropertyTest, ReverseScanAdvancesOnlyAtTheEnd) {
+TEST(TrackerPropertyTest, ReverseScanAdvancesOnlyAtTheEnd) {
   const size_t n = 64;
-  auto tracker = MakeTracker(GetParam(), n);
+  BitArrayTracker tracker(n);
   for (Position p = n; p >= 2; --p) {
-    tracker->MarkSeen(p);
-    ASSERT_EQ(tracker->best_position(), 0u);
+    tracker.MarkSeen(p);
+    ASSERT_EQ(tracker.best_position(), 0u);
   }
-  tracker->MarkSeen(1);
-  EXPECT_EQ(tracker->best_position(), n);
+  tracker.MarkSeen(1);
+  EXPECT_EQ(tracker.best_position(), n);
 }
 
-TEST_P(TrackerPropertyTest, InterleavedRunsMergeCorrectly) {
-  auto tracker = MakeTracker(GetParam(), 20);
+TEST(TrackerPropertyTest, InterleavedRunsMergeCorrectly) {
+  BitArrayTracker tracker(20);
   // Runs: {5..8}, {2..3}, then 1 bridges to 3, then 4 bridges to 8.
   for (Position p : {5, 6, 7, 8}) {
-    tracker->MarkSeen(p);
+    tracker.MarkSeen(p);
   }
-  EXPECT_EQ(tracker->best_position(), 0u);
-  tracker->MarkSeen(2);
-  tracker->MarkSeen(3);
-  EXPECT_EQ(tracker->best_position(), 0u);
-  tracker->MarkSeen(1);
-  EXPECT_EQ(tracker->best_position(), 3u);
-  tracker->MarkSeen(4);
-  EXPECT_EQ(tracker->best_position(), 8u);
+  EXPECT_EQ(tracker.best_position(), 0u);
+  tracker.MarkSeen(2);
+  tracker.MarkSeen(3);
+  EXPECT_EQ(tracker.best_position(), 0u);
+  tracker.MarkSeen(1);
+  EXPECT_EQ(tracker.best_position(), 3u);
+  tracker.MarkSeen(4);
+  EXPECT_EQ(tracker.best_position(), 8u);
 }
 
-TEST_P(TrackerPropertyTest, ResetMakesTrackerReusable) {
-  auto tracker = MakeTracker(GetParam(), 10);
-  tracker->MarkSeen(1);
-  tracker->MarkSeen(2);
-  tracker->Reset();
-  EXPECT_EQ(tracker->best_position(), 0u);
-  EXPECT_EQ(tracker->seen_count(), 0u);
-  tracker->MarkSeen(1);
-  EXPECT_EQ(tracker->best_position(), 1u);
+TEST(TrackerPropertyTest, ResetMakesTrackerReusable) {
+  BitArrayTracker tracker(10);
+  tracker.MarkSeen(1);
+  tracker.MarkSeen(2);
+  tracker.Reset();
+  EXPECT_EQ(tracker.best_position(), 0u);
+  EXPECT_EQ(tracker.seen_count(), 0u);
+  tracker.MarkSeen(1);
+  EXPECT_EQ(tracker.best_position(), 1u);
 }
 
 // A Reset()-then-reused tracker must be observationally identical to a
 // freshly constructed one on arbitrary MarkSeen sequences — the contract the
-// ExecutionContext pool relies on (and, for the bit array, the property that
-// makes the O(1) epoch-stamped Reset sound).
-TEST_P(TrackerPropertyTest, ResetReuseIsObservationallyFresh) {
+// ExecutionContext relies on, and the property that makes the O(1)
+// epoch-stamped Reset sound.
+TEST(TrackerPropertyTest, ResetReuseIsObservationallyFresh) {
   Rng rng(4242);
   const size_t n = 1 + rng.NextBounded(200);
-  auto reused = MakeTracker(GetParam(), n);
+  BitArrayTracker reused(n);
   for (int cycle = 0; cycle < 12; ++cycle) {
     // Dirty the reused tracker with a random prefix, then reset it.
     const int dirt = static_cast<int>(rng.NextBounded(2 * n));
     for (int a = 0; a < dirt; ++a) {
-      reused->MarkSeen(static_cast<Position>(1 + rng.NextBounded(n)));
+      reused.MarkSeen(static_cast<Position>(1 + rng.NextBounded(n)));
     }
-    reused->Reset();
-    auto fresh = MakeTracker(GetParam(), n);
-    ASSERT_EQ(reused->best_position(), fresh->best_position());
-    ASSERT_EQ(reused->seen_count(), fresh->seen_count());
+    reused.Reset();
+    BitArrayTracker fresh(n);
+    ASSERT_EQ(reused.best_position(), fresh.best_position());
+    ASSERT_EQ(reused.seen_count(), fresh.seen_count());
     const int accesses = 1 + static_cast<int>(rng.NextBounded(2 * n));
     for (int a = 0; a < accesses; ++a) {
       const Position p = static_cast<Position>(1 + rng.NextBounded(n));
-      reused->MarkSeen(p);
-      fresh->MarkSeen(p);
-      ASSERT_EQ(reused->best_position(), fresh->best_position())
+      reused.MarkSeen(p);
+      fresh.MarkSeen(p);
+      ASSERT_EQ(reused.best_position(), fresh.best_position())
           << "cycle " << cycle << " after marking " << p;
-      ASSERT_EQ(reused->seen_count(), fresh->seen_count());
+      ASSERT_EQ(reused.seen_count(), fresh.seen_count());
     }
     for (Position p = 1; p <= n; ++p) {
-      ASSERT_EQ(reused->IsSeen(p), fresh->IsSeen(p))
+      ASSERT_EQ(reused.IsSeen(p), fresh.IsSeen(p))
           << "cycle " << cycle << " position " << p;
     }
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTrackers, TrackerPropertyTest,
-                         ::testing::Values(TrackerKind::kBitArray,
-                                           TrackerKind::kBPlusTree,
-                                           TrackerKind::kSortedSet),
-                         [](const ::testing::TestParamInfo<TrackerKind>& info) {
-                           switch (info.param) {
-                             case TrackerKind::kBitArray:
-                               return std::string("BitArray");
-                             case TrackerKind::kBPlusTree:
-                               return std::string("BPlusTree");
-                             case TrackerKind::kSortedSet:
-                               return std::string("SortedSet");
-                           }
-                           return std::string("Unknown");
-                         });
-
-TEST(BPlusTreeTrackerTest, TreeInvariantsHoldUnderRandomMarks) {
-  Rng rng(31337);
-  BPlusTreeTracker tracker(5000);
-  for (int i = 0; i < 20000; ++i) {
-    tracker.MarkSeen(static_cast<Position>(1 + rng.NextBounded(5000)));
-    if (i % 1000 == 0) {
-      ASSERT_TRUE(tracker.tree().CheckInvariants().ok())
-          << tracker.tree().CheckInvariants().ToString();
-    }
-  }
-  ASSERT_TRUE(tracker.tree().CheckInvariants().ok());
-}
-
-TEST(TrackerFactoryTest, KindNames) {
-  EXPECT_EQ(ToString(TrackerKind::kBitArray), "bit-array");
-  EXPECT_EQ(ToString(TrackerKind::kBPlusTree), "b+tree");
-  EXPECT_EQ(ToString(TrackerKind::kSortedSet), "sorted-set");
 }
 
 }  // namespace

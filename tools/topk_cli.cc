@@ -9,7 +9,7 @@
 // Run a query:
 //   topk query --db db.csv --k 10 --algo bpa2 --scorer sum
 //   topk query --db db.bin --k 5 --algo ta --scorer weighted
-//              --weights 1,2,0.5,1 --tracker btree --verbose
+//              --weights 1,2,0.5,1 --verbose
 //
 // Compare all algorithms on a database:
 //   topk compare --db db.csv --k 10
@@ -56,20 +56,20 @@ int Usage() {
       "  topk gen     --kind uniform|gaussian|correlated --n N --m M\n"
       "               [--alpha A] [--theta T] [--seed S] --out FILE[.csv|.bin]\n"
       "  topk query   --db FILE --k K [--algo ALGO] [--scorer SCORER]\n"
-      "               [--weights w1,w2,...] [--tracker KIND] [--verbose]\n"
+      "               [--weights w1,w2,...] [--verbose]\n"
       "               [--deadline-ms MS] [--access-budget N]\n"
       "               [--fault-seed S] [--kill-list L] [--kill-after N]\n"
       "               [--replicas R [--kill-replica L:R]]\n"
       "  topk compare --db FILE --k K [--scorer SCORER] [--weights ...]\n"
       "  topk serve   --db FILE [--threads N] [--requests R] [--k K]\n"
-      "               [--algo ALGO] [--deadline-ms MS] [--queue CAP]\n"
-      "               [--shed reject|degrade]\n"
+      "               [--algo ALGO] [--scorer SCORER] [--weights ...]\n"
+      "               [--deadline-ms MS] [--queue CAP] [--shed reject|degrade]\n"
       "\n"
       "algos:    naive fa ta bpa bpa2 tput nra ca   (default bpa2)\n"
       "scorers:  sum min max average weighted       (default sum)\n"
-      "trackers: bitarray btree set                 (default bitarray)\n"
       "\n"
-      "Numeric flags take plain non-negative numbers: no sign, no suffix.\n"
+      "A command rejects any flag it does not list above. Numeric flags take\n"
+      "plain non-negative numbers: no sign, no suffix.\n"
       "\n"
       "--deadline-ms / --access-budget govern the query: on a tripped limit\n"
       "the run stops at the next round boundary and reports an anytime\n"
@@ -143,19 +143,46 @@ bool WellFormed(const std::string& flag, const std::string& value) {
   return flag != "kill-replica" || ParseListReplica(value, &size, &size);
 }
 
-// --flag value parser; returns map and positional command. A malformed
-// numeric value is reported here, naming the flag.
+// The flags `command` reads, or null for an unknown command.
+const std::set<std::string>* CommandFlags(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"gen", {"kind", "n", "m", "alpha", "theta", "seed", "out"}},
+      {"query",
+       {"db", "k", "algo", "scorer", "weights", "verbose", "deadline-ms",
+        "access-budget", "fault-seed", "kill-list", "kill-after", "replicas",
+        "kill-replica"}},
+      {"compare", {"db", "k", "scorer", "weights"}},
+      {"serve",
+       {"db", "threads", "requests", "k", "algo", "scorer", "weights",
+        "deadline-ms", "queue", "shed"}},
+  };
+  const auto it = kFlags.find(command == "--serve" ? "serve" : command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
+// --flag value parser; returns map and positional command. A flag the command
+// does not read, or a malformed numeric value, is reported here, naming the
+// flag: a typo such as --dealine-ms must not run an ungoverned query.
 bool ParseArgs(int argc, char** argv, std::string* command, Flags* flags) {
   if (argc < 2) {
     return false;
   }
   *command = argv[1];
+  const std::set<std::string>* accepted = CommandFlags(*command);
+  if (accepted == nullptr) {
+    return false;
+  }
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       return false;
     }
     arg = arg.substr(2);
+    if (accepted->count(arg) == 0) {
+      std::cerr << "error: " << *command << " does not take --" << arg
+                << "\n";
+      return false;
+    }
     if (arg == "verbose") {
       (*flags)["verbose"] = "1";
       continue;
@@ -170,6 +197,17 @@ bool ParseArgs(int argc, char** argv, std::string* command, Flags* flags) {
       return false;
     }
     (*flags)[arg] = value;
+  }
+  // query reads --kill-list only on the local path and --kill-replica only
+  // on the distributed one (--replicas).
+  if (*command == "query") {
+    const bool dist = flags->count("replicas") > 0;
+    const char* unread = dist ? "kill-list" : "kill-replica";
+    if (flags->count(unread) > 0) {
+      std::cerr << "error: query " << (dist ? "with" : "without")
+                << " --replicas does not take --" << unread << "\n";
+      return false;
+    }
   }
   return true;
 }
@@ -205,19 +243,6 @@ Result<AlgorithmKind> ParseAlgo(const std::string& name) {
     return Status::Invalid("unknown algorithm '", name, "'");
   }
   return it->second;
-}
-
-Result<TrackerKind> ParseTracker(const std::string& name) {
-  if (name == "bitarray") {
-    return TrackerKind::kBitArray;
-  }
-  if (name == "btree") {
-    return TrackerKind::kBPlusTree;
-  }
-  if (name == "set") {
-    return TrackerKind::kSortedSet;
-  }
-  return Status::Invalid("unknown tracker '", name, "'");
 }
 
 Result<std::unique_ptr<Scorer>> ParseScorer(const std::string& name,
@@ -413,8 +438,6 @@ Status RunQuery(const Flags& flags) {
       std::unique_ptr<Scorer> scorer,
       ParseScorer(FlagOr(flags, "scorer", "sum"), FlagOr(flags, "weights", "")));
   AlgorithmOptions options;
-  TOPK_ASSIGN_OR_RETURN(options.tracker,
-                        ParseTracker(FlagOr(flags, "tracker", "bitarray")));
   // A permissive floor lets NRA/CA/TPUT run on negative-score databases.
   for (size_t i = 0; i < db.num_lists(); ++i) {
     options.score_floor = std::min(options.score_floor, db.list(i).MinScore());
